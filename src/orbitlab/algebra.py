@@ -9,7 +9,6 @@ verify U*M*V = D exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import List, Sequence, Tuple
 
@@ -22,33 +21,37 @@ def _identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_mul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+def int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     cols = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def int_determinant(m: IntMatrix) -> int:
-    """Exact integer determinant (fraction-free via Fraction elimination)."""
-    n = len(m)
+    """Exact integer determinant by fraction-free Bareiss elimination.
+
+    After step k every entry of the trailing block is a (k+1)-minor of m,
+    so each division by the previous pivot is exact and no entry grows
+    past the size of a minor.
+    """
+    a = [list(row) for row in m]
+    n = len(a)
     if n == 0:
         return 1
-    work = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = Fraction(1) / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] * inv
-                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-    assert det.denominator == 1
-    return det.numerator
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * row_k[j]) // prev
+        prev = pivot
+    return sign * a[n - 1][n - 1]
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:

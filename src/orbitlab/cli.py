@@ -495,18 +495,13 @@ def _cmd_soul_dim(args) -> CommandResult:
     return payload, True, None
 
 
-def _int_matrix_mul(a, b):
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
 def _cmd_snf(args) -> CommandResult:
     m = _load_json_arg(args.matrix)
     if not isinstance(m, list) or not m or not all(isinstance(r, list) for r in m):
         raise ValueError("matrix must be a JSON list of rows")
     u, d, v = algebra.smith_normal_form(m)
-    product = _int_matrix_mul(_int_matrix_mul(u, [[int(x) for x in row] for row in m]), v)
-    identity_ok = product == d
+    ints = [[int(x) for x in row] for row in m]
+    identity_ok = algebra.int_mat_mul(algebra.int_mat_mul(u, ints), v) == d
     unimodular = abs(algebra.int_determinant(u)) == 1 and abs(algebra.int_determinant(v)) == 1
     diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
     payload = {
@@ -953,7 +948,7 @@ def _stage_algebra(quick: bool, seed: int, samples: int):
         ncol = rng.randint(1, size)
         m = [[rng.randint(-50, 50) for _ in range(ncol)] for _ in range(nrow)]
         u, d, v = algebra.smith_normal_form(m)
-        if _int_matrix_mul(_int_matrix_mul(u, m), v) != d:
+        if algebra.int_mat_mul(algebra.int_mat_mul(u, m), v) != d:
             snf_ok = False
             break
         diag = [d[i][i] for i in range(min(nrow, ncol))]

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import DimensionMismatch
 
@@ -86,52 +87,70 @@ def is_orthogonal(a: Matrix) -> bool:
     return mat_mul(a, mat_transpose(a)) == mat_identity(n)
 
 
+class _Orthogonal(tuple):
+    """A matrix already known to satisfy A A^T = I exactly.
+
+    Only `Isometry` makes these: from input that passed `is_orthogonal`,
+    or as a product or transpose of matrices of this type, which are
+    orthogonal again. Being a tuple, it compares, hashes and prints as
+    the plain matrix.
+    """
+
+    __slots__ = ()
+
+
+@lru_cache(maxsize=None)
+def _orthogonal_identity(n: int) -> _Orthogonal:
+    return _Orthogonal(mat_identity(n))
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form of ``rows`` and its pivot columns, exactly.
+
+    This is the one Fraction elimination: solves, inverses, ranks and
+    kernels are all read off its result.
+    """
+    work = [list(row) for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots: List[int] = []
+    for col in range(ncols):
+        top = len(pivots)
+        if top == len(work):
+            break
+        pivot = next((r for r in range(top, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[top], work[pivot] = work[pivot], work[top]
+        inv = Fraction(1) / work[top][col]
+        work[top] = [v * inv for v in work[top]]
+        for r in range(len(work)):
+            if r != top and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [v - f * w for v, w in zip(work[r], work[top])]
+        pivots.append(col)
+    return work, pivots
+
+
+def _solve(a: Matrix, b: Matrix) -> Matrix:
+    """X with a X = b, for square invertible a; b is given by its rows."""
+    n = len(a)
+    reduced, pivots = rref([tuple(row) + tuple(rhs) for row, rhs in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(row[n:]) for row in reduced)
+
+
 def solve_square(a: Matrix, b: Vector) -> Vector:
     """Solve a x = b exactly for square invertible a."""
-    n = len(a)
-    m = [list(row) + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return tuple(m[i][n] for i in range(n))
+    return tuple(row[0] for row in _solve(a, [(x,) for x in b]))
 
 
 def mat_inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    cols = [solve_square(a, tuple(Fraction(1 if i == j else 0) for i in range(n)))
-            for j in range(n)]
-    return mat_transpose(tuple(cols))
+    return _solve(a, mat_identity(len(a)))
 
 
 def mat_rank(rows: Sequence[Vector]) -> int:
-    work = [list(r) for r in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        inv = Fraction(1) / work[row][col]
-        work[row] = [v * inv for v in work[row]]
-        for r in range(len(work)):
-            if r != row and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[row])]
-        row += 1
-        rank += 1
-        if row == len(work):
-            break
-    return rank
+    return len(rref(rows)[1])
 
 
 def sqrt_upper(x: Fraction) -> Fraction:
@@ -209,31 +228,38 @@ def point_distance_sq(a: Point, b: Point) -> Fraction:
 class Isometry:
     """A rigid motion x -> A x + v with exact rational entries.
 
-    A must satisfy A A^T = I exactly; this is validated at construction
-    so that every element ever built is a genuine isometry.
+    A satisfies A A^T = I exactly. A matrix that enters from outside
+    (the constructor, `from_obj`, JSON generators) is checked once,
+    here, and raises ValueError if it fails. `identity`, `translation_by`,
+    `compose` and `inverse` build their matrices as identities, products
+    or transposes of checked ones, which are orthogonal again, so they
+    skip the check.
     """
 
     orthogonal: Matrix
     translation: Vector
 
     def __init__(self, orthogonal, translation):
-        a = mat(orthogonal)
+        trusted = isinstance(orthogonal, _Orthogonal)
+        a = orthogonal if trusted else mat(orthogonal)
         v = vec(translation)
         if len(a) != len(v) or any(len(row) != len(v) for row in a):
             raise DimensionMismatch("matrix and translation sizes disagree")
-        if not is_orthogonal(a):
-            raise ValueError("orthogonal part must satisfy A*A^T = I exactly")
+        if not trusted:
+            if not is_orthogonal(a):
+                raise ValueError("orthogonal part must satisfy A*A^T = I exactly")
+            a = _Orthogonal(a)
         object.__setattr__(self, "orthogonal", a)
         object.__setattr__(self, "translation", v)
 
     @classmethod
     def identity(cls, n: int) -> "Isometry":
-        return cls(mat_identity(n), (Fraction(0),) * n)
+        return cls(_orthogonal_identity(n), (Fraction(0),) * n)
 
     @classmethod
     def translation_by(cls, values) -> "Isometry":
         v = vec(values)
-        return cls(mat_identity(len(v)), v)
+        return cls(_orthogonal_identity(len(v)), v)
 
     @property
     def dimension(self) -> int:
@@ -241,7 +267,7 @@ class Isometry:
 
     @property
     def is_translation(self) -> bool:
-        return self.orthogonal == mat_identity(self.dimension)
+        return self.orthogonal == _orthogonal_identity(self.dimension)
 
     def compose(self, other: "Isometry") -> "Isometry":
         """Return self after other: (self.compose(other))(x) = self(other(x))."""
@@ -250,7 +276,7 @@ class Isometry:
         if self.is_translation:
             # common fast path: lattice translations compose by vector addition
             return Isometry(other.orthogonal, vec_add(other.translation, self.translation))
-        a = mat_mul(self.orthogonal, other.orthogonal)
+        a = _Orthogonal(mat_mul(self.orthogonal, other.orthogonal))
         v = vec_add(mat_vec(self.orthogonal, other.translation), self.translation)
         return Isometry(a, v)
 
@@ -258,8 +284,12 @@ class Isometry:
         return self.compose(other)
 
     def inverse(self) -> "Isometry":
-        at = mat_transpose(self.orthogonal)
+        at = _Orthogonal(mat_transpose(self.orthogonal))
         return Isometry(at, vec_scale(mat_vec(at, self.translation), -1))
+
+    def preimage(self, x: Vector) -> Vector:
+        """The vector y with A y + v = x, that is A^T (x - v)."""
+        return mat_vec(mat_transpose(self.orthogonal), vec_sub(x, self.translation))
 
     def apply(self, p: Point) -> Point:
         if p.dimension != self.dimension:

@@ -32,11 +32,12 @@ from .euclid import (
     mat_inverse,
     mat_rank,
     mat_vec,
+    rref,
     sqrt_upper,
     vec_dot,
     vec_sub,
 )
-from .groups import DeckGroup, word_ball_counts
+from .groups import DeckGroup, search_center, word_ball_counts
 
 BASE_POINTS: Dict[str, Point] = {
     "torus2": Point.of(0, 0),
@@ -81,10 +82,6 @@ def unit_ball_volume(n: int) -> float:
 # exact Dirichlet membership and nearest lifts
 
 
-def quotient_dist_sq(deck: DeckGroup, x: Point, y: Point) -> Fraction:
-    return deck.quotient_dist_sq(x, y)
-
-
 def dirichlet_contains(deck: DeckGroup, center: Point, p: Point) -> bool:
     """True when p lies in the closed Dirichlet cell around ``center``."""
     d2 = vec_dot(vec_sub(tuple(p), tuple(center)), vec_sub(tuple(p), tuple(center)))
@@ -96,12 +93,7 @@ def nearest_lifts(deck: DeckGroup, center: Point, target: Point) -> Tuple[Fracti
     best = deck.quotient_dist_sq(center, target)
     lifts = []
     for rep in deck.coset_reps:
-        # |(rep*t_v)(target) - center|^2 = |v - w|^2 for this w
-        w = vec_sub(
-            mat_vec(mat_inverse(rep.orthogonal), vec_sub(tuple(center), rep.translation)),
-            tuple(target),
-        )
-        for lp in deck.lattice.points_near(w, best):
+        for lp in deck.lattice.points_near(search_center(rep, center, target), best):
             if lp.dist_sq == best:
                 g = rep * Isometry.translation_by(lp.vector)
                 lifts.append(g(target))
@@ -387,11 +379,14 @@ def thin_set_volume(
         return True
 
     def indicator(pts: np.ndarray) -> np.ndarray:
-        dist, idx = tree.query(pts)
+        dist, idx = tree.query(pts, k=2)
+        center_nearest = idx[:, 0] == center_idx
+        inside = center_nearest & (dist[:, 0] <= rf)
+        # the nearest orbit point other than the center decides ties
+        rival = np.where(center_nearest, dist[:, 1], dist[:, 0])
         dist_center = np.linalg.norm(pts - cf, axis=1)
-        inside = (idx == center_idx) & (dist <= rf)
         borderline = (np.abs(dist_center - rf) < margin_r) | (
-            np.abs(dist_center - dist) < margin_r
+            np.abs(dist_center - rival) < margin_r
         )
         if soul_axis is not None:
             axis_abs = np.abs(pts[:, soul_axis])
@@ -561,44 +556,15 @@ def verify_dual(
 # classification of line-bundle flat quotients
 
 
-def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    mat = [row[:] for row in rows]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, m) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(m):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == m:
-            break
-    return mat, pivots
-
-
 def _kernel_basis(rows: List[List[Fraction]], n: int) -> List[Tuple[Fraction, ...]]:
     """Basis of {x : M x = 0} for M given by ``rows`` (each of length n)."""
-    if not rows:
-        return [
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-        ]
-    mat, pivots = _rref(rows)
-    free = [c for c in range(n) if c not in pivots]
+    reduced, pivots = rref(rows)
     basis = []
-    for f in free:
+    for f in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -mat[r][f]
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
         basis.append(tuple(v))
     return basis
 
@@ -656,10 +622,10 @@ def classify_flat(generators: Sequence[Isometry]) -> Classification:
             [g.orthogonal[r][c] - (1 if r == c else 0) for c in range(n)]
             for r in range(n)
         ]
-        fix = _kernel_basis([list(map(Fraction, row)) for row in a_minus_i], n)
+        fix = _kernel_basis(a_minus_i, n)
         projections.append(_project_onto_span(fix, g.translation))
     span_rows = [list(p) for p in projections if any(x != 0 for x in p)]
-    dim = mat_rank(tuple(tuple(r) for r in span_rows)) if span_rows else 0
+    dim = mat_rank(span_rows)
     if dim != n - 1:
         raise WrongLatticeRank(
             f"translation span has dimension {dim}, expected {n - 1}"

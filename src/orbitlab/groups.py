@@ -348,6 +348,11 @@ def _round_frac(x: Fraction) -> int:
     return _floor_frac(x + Fraction(1, 2))
 
 
+def search_center(rep: Isometry, x: Point, y: Point) -> Tuple[Fraction, ...]:
+    """The w with |(rep * t_v)(y) - x|^2 = |v - w|^2 for every vector v."""
+    return vec_sub(rep.preimage(tuple(x)), tuple(y))
+
+
 class OrbitHit(NamedTuple):
     element: Isometry
     image: Point
@@ -395,10 +400,7 @@ class DeckGroup:
         for i, hi in enumerate(reps):
             for j, hj in enumerate(reps):
                 if i < j and hi.orthogonal == hj.orthogonal:
-                    diff = mat_vec(
-                        mat_inverse(hi.orthogonal), vec_sub(hj.translation, hi.translation)
-                    )
-                    if diff in lattice:
+                    if hi.preimage(hj.translation) in lattice:
                         raise InconsistentCosets(f"representatives {i} and {j} share a coset")
         object.__setattr__(self, "dimension", int(dimension))
         object.__setattr__(self, "lattice", lattice)
@@ -412,25 +414,28 @@ class DeckGroup:
                 if self.coset_index(hi * hj) is None:
                     raise InconsistentCosets("coset representatives do not close under product")
 
-    def coset_index(self, g: Isometry) -> Optional[int]:
+    def _locate(self, g: Isometry) -> Optional[Tuple[int, Tuple[Fraction, ...]]]:
+        """(i, v) with g = coset_reps[i] * translation_by(v), or None."""
         for i, h in enumerate(self.coset_reps):
             if h.orthogonal == g.orthogonal:
-                v = mat_vec(mat_inverse(h.orthogonal), vec_sub(g.translation, h.translation))
+                v = h.preimage(g.translation)
                 if v in self.lattice:
-                    return i
+                    return i, v
         return None
+
+    def coset_index(self, g: Isometry) -> Optional[int]:
+        found = self._locate(g)
+        return None if found is None else found[0]
 
     def __contains__(self, g: Isometry) -> bool:
         return self.coset_index(g) is not None
 
     def factor(self, g: Isometry) -> Tuple[int, Tuple[Fraction, ...]]:
         """Indices (i, v) with g = coset_reps[i] * translation_by(v), v in the lattice."""
-        i = self.coset_index(g)
-        if i is None:
+        found = self._locate(g)
+        if found is None:
             raise InconsistentCosets("element does not belong to the deck group")
-        h = self.coset_reps[i]
-        v = mat_vec(mat_inverse(h.orthogonal), vec_sub(g.translation, h.translation))
-        return i, v
+        return found
 
     @property
     def index_over_lattice(self) -> int:
@@ -444,14 +449,6 @@ class DeckGroup:
             gens += [h for h in self.coset_reps if h != ident]
         return GeneratedGroup.closure(Isometry.identity(self.dimension), gens, name=self.name)
 
-    def _coset_search_center(self, rep: Isometry, x: Point) -> Tuple[Fraction, ...]:
-        # |(rep * t_v)(x) - x|^2 = |v - w|^2 for this w
-        c = vec_sub(
-            tuple(a + b for a, b in zip(mat_vec(rep.orthogonal, tuple(x)), rep.translation)),
-            tuple(x),
-        )
-        return tuple(-y for y in mat_vec(mat_inverse(rep.orthogonal), c))
-
     def enumerate_orbit(self, x: Point, radius_sq) -> List[OrbitHit]:
         """All g with |g(x) - x|^2 <= radius_sq, sorted by distance.
 
@@ -460,7 +457,7 @@ class DeckGroup:
         rho2 = frac(radius_sq)
         hits: List[OrbitHit] = []
         for rep in self.coset_reps:
-            w = self._coset_search_center(rep, x)
+            w = search_center(rep, x, x)
             for lp in self.lattice.points_near(w, rho2):
                 g = rep * Isometry.translation_by(lp.vector)
                 hits.append(OrbitHit(g, g(x), lp.dist_sq))
@@ -473,7 +470,7 @@ class DeckGroup:
         q2 = frac(slack_sq)
         hits: List[OrbitHit] = []
         for rep in self.coset_reps:
-            w = self._coset_search_center(rep, x)
+            w = search_center(rep, x, x)
             for lp in self.lattice.points_near_plus_sqrt(w, r, q2):
                 g = rep * Isometry.translation_by(lp.vector)
                 hits.append(OrbitHit(g, g(x), lp.dist_sq))
@@ -487,10 +484,7 @@ class DeckGroup:
         """Squared distance between the classes of x and y in the quotient."""
         best: Optional[Fraction] = None
         for rep in self.coset_reps:
-            # |x - (rep * t_v)(y)|^2 = |v - w|^2 for this w
-            rel = mat_vec(mat_inverse(rep.orthogonal), vec_sub(tuple(x), rep.translation))
-            w = vec_sub(rel, tuple(y))
-            d2 = self.lattice.nearest_dist_sq(w)
+            d2 = self.lattice.nearest_dist_sq(search_center(rep, x, y))
             if best is None or d2 < best:
                 best = d2
         assert best is not None

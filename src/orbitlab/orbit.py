@@ -15,7 +15,7 @@ from math import log
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InconsistentCosets, InsufficientSamples
-from .euclid import Isometry, Point, frac
+from .euclid import Isometry, Point, frac, leq_radius_plus_sqrt
 from .groups import DeckGroup, GeneratedGroup, word_ball, word_ball_counts
 
 
@@ -72,16 +72,18 @@ def orbit_ball_count(deck: DeckGroup, x: Point, radius) -> int:
     return len({tuple(h.image) for h in hits})
 
 
+def _image_dists(hits) -> List[Fraction]:
+    """Sorted squared distances of the distinct orbit points among hits."""
+    return sorted({tuple(h.image): h.dist_sq for h in hits}.values())
+
+
 def orbit_growth(deck: DeckGroup, x: Point, radii: Sequence) -> GrowthSeries:
-    counts = []
-    points = None
-    for r in sorted(frac(v) for v in radii):
-        hits = deck.enumerate_orbit(x, r * r)
-        points = {tuple(h.image) for h in hits}
-        counts.append(len(points))
+    # one enumeration at the outermost radius, then exact bucketing
+    rs = sorted(frac(v) for v in radii)
+    dists = _image_dists(deck.enumerate_orbit(x, max((r * r for r in rs), default=0)))
     return GrowthSeries(
-        radii=tuple(float(frac(v)) for v in sorted(radii, key=frac)),
-        counts=tuple(counts),
+        radii=tuple(float(r) for r in rs),
+        counts=tuple(bisect.bisect_right(dists, r * r) for r in rs),
         label=deck.name or "orbit",
     )
 
@@ -146,8 +148,7 @@ def milnor_check(
 
     # one enumeration at the outermost radius, then exact bucketing; the
     # orbit radius h*r may be irrational but its square h^2 r^2 is not
-    hits = deck.enumerate_orbit(x, h_sq * rs[-1] * rs[-1])
-    dists = sorted({tuple(h.image): h.dist_sq for h in hits}.values())
+    dists = _image_dists(deck.enumerate_orbit(x, h_sq * rs[-1] * rs[-1]))
     rows = []
     for r in rs:
         wc = word_cum[r]
@@ -264,20 +265,23 @@ def finite_index_comparison(
     rs = sorted(int(r) for r in radii)
     # factorization sanity on the largest whole-group ball: each element
     # must land in exactly one right coset of the subgroup
-    top = frac(rs[-1])
-    for hit in whole.enumerate_orbit(x, top * top):
+    whole_hits = whole.enumerate_orbit(x, rs[-1] * rs[-1])
+    for hit in whole_hits:
         matches = sum(1 for k in transversal if (hit.element * k.inverse()) in sub)
         if matches != 1:
             raise InconsistentCosets(
                 f"element matched {matches} transversal cosets instead of one"
             )
 
+    # one enumeration per group at the outermost radius, then exact bucketing
+    whole_dists = _image_dists(whole_hits)
+    sub_dists = _image_dists(sub.enumerate_orbit_plus_sqrt(x, rs[-1], r0_sq))
     rows = []
     for r in rs:
-        whole_hits = whole.enumerate_orbit(x, frac(r) * frac(r))
-        whole_count = len({tuple(h.image) for h in whole_hits})
-        sub_hits = sub.enumerate_orbit_plus_sqrt(x, r, r0_sq)
-        sub_count = len({tuple(h.image) for h in sub_hits})
+        whole_count = bisect.bisect_right(whole_dists, r * r)
+        sub_count = bisect.bisect_left(
+            sub_dists, True, key=lambda d2: not leq_radius_plus_sqrt(d2, r, r0_sq)
+        )
         bound = index * sub_count
         rows.append(IndexRow(r, whole_count, sub_count, bound, whole_count <= bound))
     return IndexComparisonReport(index=index, slack_dist_sq=r0_sq, rows=tuple(rows))

@@ -26,7 +26,7 @@ from orbitlab.flatgeo import (
     thin_set_volume,
     verify_dual,
 )
-from orbitlab.groups import builtin_deck_group
+from orbitlab.groups import DeckGroup, builtin_deck_group
 
 # --------------------------------------------------------------------------
 # cells and lifts
@@ -178,6 +178,21 @@ def test_thin_set_slab_is_exact_for_large_radius():
     est = thin_set_volume(deck, base, 4, "1/2", 0, samples=20_000, seed=9)
     # B(4) covers the slab |x| <= 1/2 entirely, so the volume is exactly 1
     assert abs(est.value - 1.0) <= max(3 * est.sigma, 0.02)
+
+
+def test_thin_set_redecides_only_near_ties(monkeypatch):
+    # the float test settles every sample away from a tie; only near ties
+    # is the exact quotient distance computed
+    deck = builtin_deck_group("cylinder2")
+    calls = []
+    exact = DeckGroup.quotient_dist_sq
+    monkeypatch.setattr(
+        DeckGroup, "quotient_dist_sq", lambda self, x, y: calls.append(1) or exact(self, x, y)
+    )
+    est = thin_set_volume(deck, BASE_POINTS["cylinder2"], 4, 1, 0, samples=20_000, seed=7)
+    assert len(calls) < 0.01 * est.samples
+    # the same estimate as deciding every in-cell sample exactly
+    assert est.value == 1.989600000000001
 
 
 def test_thin_set_ratio_decays():
