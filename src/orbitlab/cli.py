@@ -130,16 +130,23 @@ def _min_samples(samples: int) -> int:
     return samples
 
 
-def _base_point(args, deck: groups.DeckGroup) -> Point:
-    if getattr(args, "base", None):
-        p = _parse_point(args.base)
-        if p.dimension != deck.dimension:
-            raise ValueError("base point has the wrong dimension")
-        return p
-    default = flatgeo.BASE_POINTS.get(args.space)
+def _default_base(name: str, dimension: int) -> Point:
+    default = flatgeo.BASE_POINTS.get(name)
     if default is not None:
         return default
-    return Point(tuple(Fraction(0) for _ in range(deck.dimension)))
+    return Point(tuple(Fraction(0) for _ in range(dimension)))
+
+
+def _space_args(args) -> Tuple[groups.DeckGroup, Point]:
+    """The deck group named by --space and the base point: --base, else its default."""
+    args.space = _selector(args.space)
+    deck = _deck(args.space)
+    if not getattr(args, "base", None):
+        return deck, _default_base(args.space, deck.dimension)
+    p = _parse_point(args.base)
+    if p.dimension != deck.dimension:
+        raise ValueError("base point has the wrong dimension")
+    return deck, p
 
 
 # ---------------------------------------------------------------------------
@@ -147,20 +154,16 @@ def _base_point(args, deck: groups.DeckGroup) -> Point:
 
 
 def _cmd_orbit_count(args) -> CommandResult:
-    args.space = _selector(args.space)
-    deck = _deck(args.space)
-    base = _base_point(args, deck)
+    deck, base = _space_args(args)
     radii = _increasing(_frac_list(args.radii))
+    counts = orbit.ball_counts(deck, base, [r * r for r in radii])
+    floats = [float(r) for r in radii]
     rows = []
-    counts: List[int] = []
-    floats: List[float] = []
-    for r in radii:
-        counts.append(orbit.orbit_ball_count(deck, base, r))
-        floats.append(float(r))
+    for i, r in enumerate(radii):
         expo = None
-        if len(counts) >= 3 and all(c > 0 for c in counts):
-            expo = orbit.fit_power_law(floats, counts)[0]
-        rows.append({"radius": str(r), "count": counts[-1], "exponent_so_far": expo})
+        if i >= 2 and all(c > 0 for c in counts[: i + 1]):
+            expo = orbit.fit_power_law(floats[: i + 1], counts[: i + 1])[0]
+        rows.append({"radius": str(r), "count": counts[i], "exponent_so_far": expo})
     fitted = rows[-1]["exponent_so_far"]
     r2 = orbit.fit_power_law(floats, counts)[1] if fitted is not None else None
     payload = {
@@ -194,9 +197,7 @@ def _cmd_growth_fit(args) -> CommandResult:
     if bool(args.space) == bool(args.group):
         raise ValueError("pass exactly one of --space (orbit) or --group (word)")
     if args.space:
-        args.space = _selector(args.space)
-        deck = _deck(args.space)
-        base = _base_point(args, deck)
+        deck, base = _space_args(args)
         series = orbit.orbit_growth(deck, base, _increasing(_frac_list(args.radii)))
         label = args.space
         kind = "orbit"
@@ -220,9 +221,7 @@ def _cmd_growth_fit(args) -> CommandResult:
 
 
 def _cmd_milnor(args) -> CommandResult:
-    args.space = _selector(args.space)
-    deck = _deck(args.space)
-    base = _base_point(args, deck)
+    deck, base = _space_args(args)
     rep = orbit.milnor_check(deck, base, _increasing(_int_list(args.radii)), cap=args.cap)
     payload = {
         "command": "milnor-check",
@@ -245,9 +244,7 @@ def _cmd_milnor(args) -> CommandResult:
 
 
 def _cmd_index_check(args) -> CommandResult:
-    args.space = _selector(args.space)
-    deck = _deck(args.space)
-    base = _base_point(args, deck)
+    deck, base = _space_args(args)
     if args.subgroup != "translations":
         raise ValueError("only the 'translations' subgroup is bundled")
     sub = orbit.translation_subgroup(deck)
@@ -317,8 +314,7 @@ def _dual_payload(rep: flatgeo.DualReport) -> Dict[str, Any]:
 
 
 def _cmd_verify_dual(args) -> CommandResult:
-    args.space = _selector(args.space)
-    if args.space == "warped":
+    if _selector(args.space) == "warped":
         radii = (
             _increasing(_float_list(args.radii)) if args.radii else list(warped.DEFAULT_DUAL_RADII)
         )
@@ -352,8 +348,7 @@ def _cmd_verify_dual(args) -> CommandResult:
             [r.radius, r.count_r, r.count_2r, r.volume, r.lower_ok, r.upper_ok] for r in rep.rows
         ]
         return payload, rep.ok, (["radius", "count_r", "count_2r", "volume", "lower_ok", "upper_ok"], csv_rows)
-    deck = _deck(args.space)
-    base = _base_point(args, deck)
+    deck, base = _space_args(args)
     radii = _increasing(_frac_list(args.radii)) if args.radii else [frac(v) for v in (1, 2, 4, 8, 16)]
     rep = flatgeo.verify_dual(
         deck, base, radii,
@@ -371,9 +366,7 @@ def _cmd_verify_dual(args) -> CommandResult:
 
 
 def _cmd_thin_set(args) -> CommandResult:
-    args.space = _selector(args.space)
-    deck = _deck(args.space)
-    base = _base_point(args, deck)
+    deck, base = _space_args(args)
     if args.space not in flatgeo.SOUL_AXES:
         raise ValueError(f"no bundled core geometry for {args.space!r}")
     axis = flatgeo.SOUL_AXES[args.space]
@@ -413,9 +406,7 @@ def _cmd_thin_set(args) -> CommandResult:
 
 
 def _cmd_dirichlet(args) -> CommandResult:
-    args.space = _selector(args.space)
-    deck = _deck(args.space)
-    base = _base_point(args, deck)
+    deck, base = _space_args(args)
     p = _parse_point(args.point)
     if p.dimension != deck.dimension:
         raise ValueError("point has the wrong dimension")
@@ -694,19 +685,7 @@ def _stage_orbit_oracle(quick: bool, seed: int, samples: int):
     rmax = 12 if quick else 50
     deck = groups.zk_deck(2)
     base = Point.of(0, 0)
-    hits = deck.enumerate_orbit(base, rmax * rmax)
-    buckets = [0] * (rmax + 1)
-    for h in hits:
-        d2 = int(h.dist_sq)
-        k = math.isqrt(d2)
-        if k * k < d2:
-            k += 1
-        buckets[k] += 1
-    counts = []
-    total = 0
-    for b in buckets:
-        total += b
-        counts.append(total)
+    counts = orbit.ball_counts(deck, base, [r * r for r in range(rmax + 1)])
     mismatches = []
     for r in range(1, rmax + 1):
         direct = 0
@@ -730,7 +709,7 @@ def _stage_milnor(quick: bool, seed: int, samples: int):
     bad = []
     for name in names:
         deck = _deck(name)
-        base = flatgeo.BASE_POINTS.get(name) or Point(tuple(Fraction(0) for _ in range(deck.dimension)))
+        base = _default_base(name, deck.dimension)
         rep = orbit.milnor_check(deck, base, radii)
         if not rep.ok:
             bad.append(name)

@@ -170,11 +170,6 @@ def sqrt_lower(x: Fraction) -> Fraction:
     return Fraction(math.isqrt(n * d), d)
 
 
-def sqrt_float(x) -> float:
-    x = frac(x)
-    return math.sqrt(x.numerator / x.denominator)
-
-
 def leq_radius_plus_sqrt(d2: Fraction, r: Fraction, q: Fraction) -> bool:
     """Decide sqrt(d2) <= r + sqrt(q) exactly, for r, q >= 0."""
     a = d2 - r * r - q
@@ -213,9 +208,6 @@ class Point:
 
     def __getitem__(self, i):
         return self.coords[i]
-
-    def floats(self) -> tuple:
-        return tuple(float(c) for c in self.coords)
 
 
 def point_distance_sq(a: Point, b: Point) -> Fraction:

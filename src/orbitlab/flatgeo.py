@@ -37,7 +37,8 @@ from .euclid import (
     vec_dot,
     vec_sub,
 )
-from .groups import DeckGroup, search_center, word_ball_counts
+from .groups import DeckGroup, word_ball_counts
+from .orbit import ball_counts
 
 BASE_POINTS: Dict[str, Point] = {
     "torus2": Point.of(0, 0),
@@ -91,13 +92,8 @@ def dirichlet_contains(deck: DeckGroup, center: Point, p: Point) -> bool:
 def nearest_lifts(deck: DeckGroup, center: Point, target: Point) -> Tuple[Fraction, List[Point]]:
     """Orbit points of ``target`` closest to ``center``: (min dist^2, lifts)."""
     best = deck.quotient_dist_sq(center, target)
-    lifts = []
-    for rep in deck.coset_reps:
-        for lp in deck.lattice.points_near(search_center(rep, center, target), best):
-            if lp.dist_sq == best:
-                g = rep * Isometry.translation_by(lp.vector)
-                lifts.append(g(target))
-    uniq = sorted({tuple(p) for p in lifts})
+    # best is the exact minimum, so every lift within it attains it
+    uniq = sorted({tuple(h.image) for h in deck.lifts_near(center, target, best)})
     return best, [Point(c) for c in uniq]
 
 
@@ -490,11 +486,8 @@ def verify_dual(
     omega = unit_ball_volume(n)
     rows: List[DualRow] = []
     rs = sorted(frac(v) for v in radii)
-    for i, r in enumerate(rs):
-        hits_r = deck.enumerate_orbit(center, r * r)
-        count_r = len({tuple(h.image) for h in hits_r})
-        hits_2r = deck.enumerate_orbit(center, 4 * r * r)
-        count_2r = len({tuple(h.image) for h in hits_2r})
+    counts = ball_counts(deck, center, [r * r for r in rs] + [4 * r * r for r in rs])
+    for i, (r, count_r, count_2r) in enumerate(zip(rs, counts, counts[len(rs):])):
         est = ball_volume(deck, center, r, samples=samples, seed=[seed, i])
         rf = float(r)
         lower_lhs = count_2r * (est.value + 3 * est.sigma)

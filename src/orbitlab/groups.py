@@ -449,36 +449,36 @@ class DeckGroup:
             gens += [h for h in self.coset_reps if h != ident]
         return GeneratedGroup.closure(Isometry.identity(self.dimension), gens, name=self.name)
 
+    def _hits(self, x: Point, y: Point, near) -> List[OrbitHit]:
+        """The g = rep * t_v whose lattice vector v is in ``near(w)``, where
+        w is rep's search center for (x, y); sorted by |g(y) - x|^2.
+
+        The one loop over coset representatives times a lattice query.
+        """
+        hits: List[OrbitHit] = []
+        for rep in self.coset_reps:
+            for lp in near(search_center(rep, x, y)):
+                g = rep * Isometry.translation_by(lp.vector)
+                hits.append(OrbitHit(g, g(y), lp.dist_sq))
+        hits.sort(key=lambda h: (h.dist_sq, tuple(h.image), h.element.sort_key()))
+        return hits
+
+    def lifts_near(self, x: Point, y: Point, radius_sq) -> List[OrbitHit]:
+        """All g with |g(y) - x|^2 <= radius_sq, sorted by distance."""
+        rho2 = frac(radius_sq)
+        return self._hits(x, y, lambda w: self.lattice.points_near(w, rho2))
+
     def enumerate_orbit(self, x: Point, radius_sq) -> List[OrbitHit]:
         """All g with |g(x) - x|^2 <= radius_sq, sorted by distance.
 
         The ball boundary is included, matching a closed-ball orbit count.
         """
-        rho2 = frac(radius_sq)
-        hits: List[OrbitHit] = []
-        for rep in self.coset_reps:
-            w = search_center(rep, x, x)
-            for lp in self.lattice.points_near(w, rho2):
-                g = rep * Isometry.translation_by(lp.vector)
-                hits.append(OrbitHit(g, g(x), lp.dist_sq))
-        hits.sort(key=lambda h: (h.dist_sq, tuple(h.image), h.element.sort_key()))
-        return hits
+        return self.lifts_near(x, x, radius_sq)
 
     def enumerate_orbit_plus_sqrt(self, x: Point, radius, slack_sq) -> List[OrbitHit]:
         """All g with |g(x) - x| <= radius + sqrt(slack_sq), decided exactly."""
-        r = frac(radius)
-        q2 = frac(slack_sq)
-        hits: List[OrbitHit] = []
-        for rep in self.coset_reps:
-            w = search_center(rep, x, x)
-            for lp in self.lattice.points_near_plus_sqrt(w, r, q2):
-                g = rep * Isometry.translation_by(lp.vector)
-                hits.append(OrbitHit(g, g(x), lp.dist_sq))
-        hits.sort(key=lambda h: (h.dist_sq, tuple(h.image), h.element.sort_key()))
-        return hits
-
-    def orbit_count(self, x: Point, radius_sq) -> int:
-        return len(self.enumerate_orbit(x, radius_sq))
+        r, q2 = frac(radius), frac(slack_sq)
+        return self._hits(x, x, lambda w: self.lattice.points_near_plus_sqrt(w, r, q2))
 
     def quotient_dist_sq(self, x: Point, y: Point) -> Fraction:
         """Squared distance between the classes of x and y in the quotient."""

@@ -65,25 +65,33 @@ class GrowthSeries:
         return self._fit[1]
 
 
-def orbit_ball_count(deck: DeckGroup, x: Point, radius) -> int:
-    """Number of distinct orbit points of x within the closed ball of ``radius``."""
-    r = frac(radius)
-    hits = deck.enumerate_orbit(x, r * r)
-    return len({tuple(h.image) for h in hits})
-
-
 def _image_dists(hits) -> List[Fraction]:
     """Sorted squared distances of the distinct orbit points among hits."""
     return sorted({tuple(h.image): h.dist_sq for h in hits}.values())
 
 
+def ball_counts(deck: DeckGroup, x: Point, radii_sq: Sequence) -> List[int]:
+    """Distinct orbit points of x in the closed ball of each squared radius.
+
+    One enumeration at the largest squared radius, then exact bucketing;
+    a squared radius need not be a perfect square (h^2 r^2 in Milnor).
+    """
+    rs2 = [frac(v) for v in radii_sq]
+    dists = _image_dists(deck.enumerate_orbit(x, max(rs2, default=0)))
+    return [bisect.bisect_right(dists, r2) for r2 in rs2]
+
+
+def orbit_ball_count(deck: DeckGroup, x: Point, radius) -> int:
+    """Number of distinct orbit points of x within the closed ball of ``radius``."""
+    r = frac(radius)
+    return ball_counts(deck, x, [r * r])[0]
+
+
 def orbit_growth(deck: DeckGroup, x: Point, radii: Sequence) -> GrowthSeries:
-    # one enumeration at the outermost radius, then exact bucketing
     rs = sorted(frac(v) for v in radii)
-    dists = _image_dists(deck.enumerate_orbit(x, max((r * r for r in rs), default=0)))
     return GrowthSeries(
         radii=tuple(float(r) for r in rs),
-        counts=tuple(bisect.bisect_right(dists, r * r) for r in rs),
+        counts=tuple(ball_counts(deck, x, [r * r for r in rs])),
         label=deck.name or "orbit",
     )
 
@@ -146,14 +154,9 @@ def milnor_check(
     for i in range(1, len(word_cum)):
         word_cum[i] += word_cum[i - 1]
 
-    # one enumeration at the outermost radius, then exact bucketing; the
-    # orbit radius h*r may be irrational but its square h^2 r^2 is not
-    dists = _image_dists(deck.enumerate_orbit(x, h_sq * rs[-1] * rs[-1]))
-    rows = []
-    for r in rs:
-        wc = word_cum[r]
-        oc = bisect.bisect_right(dists, h_sq * r * r)
-        rows.append(MilnorRow(r, wc, oc, wc <= oc))
+    # the orbit radius h*r may be irrational but its square h^2 r^2 is not
+    orbit_counts = ball_counts(deck, x, [h_sq * r * r for r in rs])
+    rows = [MilnorRow(r, word_cum[r], oc, word_cum[r] <= oc) for r, oc in zip(rs, orbit_counts)]
     return MilnorReport(
         base_point=x,
         displacement_bound_sq=h_sq,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -161,6 +161,22 @@ def _relative_gap(fine: float, coarse: float) -> float:
     return abs(fine - coarse) / max(abs(fine), 1e-12)
 
 
+def _certified(solve: Callable[[float], object], noun: str, tol: float, gap=_relative_gap):
+    """(fine, coarse, rel): ``solve`` at the base spacing and at its halving.
+
+    Raises ConvergenceError, naming ``noun``, when their relative gap
+    exceeds ``tol``.
+    """
+    coarse = solve(1.0)
+    fine = solve(0.5)
+    rel = gap(fine, coarse)
+    if rel > tol:
+        raise ConvergenceError(
+            f"{noun} moved by {rel:.3%} under grid halving (tolerance {tol:.1%})"
+        )
+    return fine, coarse, rel
+
+
 def _base_spacing(spacing) -> Tuple[float, float]:
     if spacing is None:
         return BASE_DR, BASE_DS
@@ -211,13 +227,10 @@ def deck_distances(
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     base = _base_spacing(spacing)
-    coarse = _deck_distance_grid(k_max, 1.0, square, base)
-    fine = _deck_distance_grid(k_max, 0.5, square, base)
-    rel = max(_relative_gap(fine[k], coarse[k]) for k in range(1, k_max + 1))
-    if rel > tol:
-        raise ConvergenceError(
-            f"deck distances moved by {rel:.3%} under grid halving (tolerance {tol:.1%})"
-        )
+    fine, coarse, rel = _certified(
+        lambda scale: _deck_distance_grid(k_max, scale, square, base), "deck distances", tol,
+        gap=lambda f, c: max(_relative_gap(f[k], c[k]) for k in range(1, k_max + 1)),
+    )
     return CertifiedTable(tuple(fine), tuple(coarse), rel, tol)
 
 
@@ -251,13 +264,9 @@ def ball_volume(
     if radius <= 0:
         raise ValueError("radius must be positive")
     base = _base_spacing(spacing)
-    coarse = _ball_volume_grid(radius, 1.0, square, base)
-    fine = _ball_volume_grid(radius, 0.5, square, base)
-    rel = _relative_gap(fine, coarse)
-    if rel > tol:
-        raise ConvergenceError(
-            f"ball volume moved by {rel:.3%} under grid halving (tolerance {tol:.1%})"
-        )
+    fine, coarse, rel = _certified(
+        lambda scale: _ball_volume_grid(radius, scale, square, base), "ball volume", tol
+    )
     return CertifiedValue(fine, coarse, rel, tol)
 
 
@@ -429,11 +438,5 @@ def point_distance(
         dist = _solve_grid(r_vals, s_vals, ds, periodic=periodic, square=square, source=(si, sj))
         return float(dist[ei, ej])
 
-    coarse = solve(1.0)
-    fine = solve(0.5)
-    rel = _relative_gap(fine, coarse)
-    if rel > tol:
-        raise ConvergenceError(
-            f"point distance moved by {rel:.3%} under grid halving (tolerance {tol:.1%})"
-        )
+    fine, coarse, rel = _certified(solve, "point distance", tol)
     return CertifiedValue(fine, coarse, rel, tol)

@@ -5,6 +5,7 @@ are asserted exactly as a shell would see them.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -390,3 +391,17 @@ def test_env_cap_reaches_word_ball(capsys, monkeypatch):
     assert code == 3
     assert json.loads(out)["error"] == "CapExceeded"
     assert groups.enumeration_cap() == 10
+
+
+# ---------------------------------------------------------------------------
+# golden exact outputs
+
+# stdout, stderr and exit code of orbit-count, milnor-check, index-check
+# and dirichlet on every bundled space, recorded once; a consistent drift
+# in exact output fails here even though two runs of the same code agree
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_exact_outputs_match_the_recorded_ones(capsys, case):
+    assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])

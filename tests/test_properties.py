@@ -1,14 +1,18 @@
-"""Property-based differential tests of the exact linear-algebra core.
+"""Property-based differential tests of the exact linear-algebra core
+and of the one orbit-enumeration path.
 
 The one Fraction elimination behind solve_square, mat_inverse, mat_rank
 and the kernel basis, and the Bareiss integer determinant, are checked
 against sympy on random matrices. Random words in each bundled deck's
 generators check that products keep exactly orthogonal parts without
 re-validation, and that input matrices are still checked where they
-enter.
+enter. Orbit-ball counts and nearest lifts are checked against a plain
+scan of a box of lattice coordinates.
 """
 
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,11 +20,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, Rational, eye
 
-from orbitlab import cli
+from orbitlab import cli, flatgeo, groups
 from orbitlab.algebra import int_determinant
-from orbitlab.euclid import Isometry, is_orthogonal, mat_inverse, mat_rank, solve_square
-from orbitlab.flatgeo import _kernel_basis
+from orbitlab.euclid import (
+    Isometry,
+    Point,
+    is_orthogonal,
+    mat_inverse,
+    mat_rank,
+    solve_square,
+    vec_dot,
+    vec_sub,
+)
+from orbitlab.flatgeo import _kernel_basis, nearest_lifts
 from orbitlab.groups import DECK_GROUP_NAMES, builtin_deck_group
+from orbitlab.orbit import ball_counts
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -137,3 +151,86 @@ def test_non_orthogonal_input_is_rejected_where_it_enters(rows):
         Isometry.from_obj(obj)
     code = cli.main(["classify", "--generators", json.dumps([obj])])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# orbit enumeration against a coordinate-box scan
+
+ORBIT_DECKS = DECK_GROUP_NAMES + ("z3",)
+COORD = st.fractions(min_value=-1, max_value=1, max_denominator=7)
+
+
+def _box_images(deck, x, y, radius):
+    """{g(y): |g(y) - x|^2} over every g = rep * t_v whose lattice
+    coordinates lie in a box holding all g with |g(y) - x| <= radius."""
+    basis = deck.lattice.basis
+    for i, a in enumerate(basis):
+        for b in basis[i + 1:]:
+            assert vec_dot(a, b) == 0  # the box below relies on it
+    images = {}
+    for rep in deck.coset_reps:
+        # |rep(y + v) - x| = |v - w| with w = rep^-1(x) - y, so |v| <= radius + |w|
+        w = vec_sub(tuple(rep.inverse()(x)), tuple(y))
+        reach = radius + math.sqrt(float(vec_dot(w, w)))
+        ranges = []
+        for b in basis:
+            k = math.floor(reach / math.sqrt(float(vec_dot(b, b)))) + 1
+            ranges.append(range(-k, k + 1))
+        for m in itertools.product(*ranges):
+            v = deck.lattice.vector(m)
+            image = tuple(rep(Point(tuple(a + b for a, b in zip(y, v)))))
+            d = vec_sub(image, tuple(x))
+            images[image] = vec_dot(d, d)
+    return images
+
+
+@st.composite
+def points_in(draw, dimension):
+    return Point(tuple(draw(COORD) for _ in range(dimension)))
+
+
+@pytest.mark.parametrize("name", ORBIT_DECKS)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_ball_counts_match_a_box_scan(name, data):
+    deck = cli._deck(name)
+    x = data.draw(points_in(deck.dimension))
+    radii_sq = data.draw(st.lists(
+        st.fractions(min_value=0, max_value=12, max_denominator=9), min_size=1, max_size=4))
+    # a Milnor radius h^2 r^2, rarely a perfect square
+    h_sq = data.draw(st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=9))
+    radii_sq.append(h_sq * data.draw(st.integers(1, 2)) ** 2)
+    images = _box_images(deck, x, x, math.sqrt(float(max(radii_sq))) + 1)
+    want = [sum(1 for d2 in images.values() if d2 <= r2) for r2 in radii_sq]
+    assert ball_counts(deck, x, radii_sq) == want
+
+
+@pytest.mark.parametrize("name", ORBIT_DECKS)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_nearest_lifts_match_a_box_scan(name, data):
+    deck = cli._deck(name)
+    center = data.draw(points_in(deck.dimension))
+    target = data.draw(points_in(deck.dimension))
+    # the identity lift bounds the minimum
+    d = vec_sub(tuple(target), tuple(center))
+    images = _box_images(deck, center, target, math.sqrt(float(vec_dot(d, d))) + 1)
+    best = min(images.values())
+    minimisers = sorted(p for p, d2 in images.items() if d2 == best)
+    assert nearest_lifts(deck, center, target) == (best, [Point(p) for p in minimisers])
+
+
+def test_verify_dual_enumerates_once_for_counts_and_once_per_volume(monkeypatch):
+    calls = []
+    enumerate_orbit = groups.DeckGroup.enumerate_orbit
+
+    def counted(self, x, radius_sq):
+        calls.append(radius_sq)
+        return enumerate_orbit(self, x, radius_sq)
+
+    monkeypatch.setattr(groups.DeckGroup, "enumerate_orbit", counted)
+    radii = [1, 2, 3]
+    deck = builtin_deck_group("klein2")
+    flatgeo.verify_dual(deck, flatgeo.BASE_POINTS["klein2"], radii, samples=1000)
+    # one enumeration for every count_r and count_2r, one orbit cloud per volume
+    assert len(calls) == 1 + len(radii)
