@@ -8,13 +8,21 @@ group grow linearly, while the shrinking warp lets geodesics climb
 outward and wrap cheaply: going out to height R, wrapping k times, and
 coming back costs 2R + 2*pi*k/R, at best 4*sqrt(pi*k), so the distance
 to the k-th translate grows like sqrt(k). That gap drives every
-quantity exported here.
+quantity exported here. (With ``square`` the coefficient is phi^2, the
+wrap costs 2*pi*k/R^2, and the best such path 3*(2*pi*k)^(1/3).)
 
 Distances are computed with Dijkstra on an 8-neighbor grid graph whose
 edge weights integrate the metric by the midpoint rule. Every exported
 number is certified by recomputing at half the grid spacing; a relative
 gap above the tolerance raises ConvergenceError instead of returning a
 value.
+
+Each certified value costs one flood per grid spacing. The metric is
+even in r, so a grid symmetric about r = 0 with its source on r = 0
+(every deck-distance and ball grid) is flooded on its r >= 0 rows only
+and mirrored, bit-identical to the full solve. Deck-distance windows are
+sized from the climb-and-wrap path bound above, so the first flood
+already clears the window boundary; a doubling loop stays as a guard.
 """
 
 from __future__ import annotations
@@ -89,12 +97,26 @@ def _solve_grid(
     only. Ratio and trend outputs are unaffected, and axis-aligned
     distances (radial runs, loops around the core) are exact up to
     discretization.
+
+    When ``r_vals`` is symmetric about r = 0 and the source sits on its
+    centre row, only the rows with r >= 0 are flooded and then mirrored.
+    The metric is even in r, so row -i carries row i's edges weight for
+    weight, and any path through r < 0 folds onto one of the same float
+    length; the mirrored rows equal a full-grid solve bit for bit.
     """
     nrow = len(r_vals)
     ncol = len(s_vals)
     if nrow * ncol > NODE_CAP:
         raise CapExceeded(f"grid would hold {nrow * ncol} nodes", limit=NODE_CAP)
+    # taken from the full array: for steps that are not a power of two
+    # r_vals[1] - r_vals[0] need not equal the step of the upper half
     dr = float(r_vals[1] - r_vals[0])
+    centre = nrow // 2
+    mirror = nrow % 2 == 1 and source[0] == centre and np.array_equal(r_vals[::-1], -r_vals)
+    if mirror:
+        r_vals = r_vals[centre:]
+        source = (0, source[1])
+        nrow = len(r_vals)
     ids = np.arange(nrow * ncol, dtype=np.int64).reshape(nrow, ncol)
     row_factor = metric_factor(r_vals, square)
     mid_factor = metric_factor(0.5 * (r_vals[:-1] + r_vals[1:]), square)
@@ -137,8 +159,8 @@ def _solve_grid(
         shape=(nrow * ncol, nrow * ncol),
     )
     src = ids[source[0], source[1]]
-    dist = dijkstra(graph, directed=False, indices=src)
-    return dist.reshape(nrow, ncol)
+    dist = dijkstra(graph, directed=False, indices=src).reshape(nrow, ncol)
+    return np.concatenate([dist[:0:-1], dist]) if mirror else dist
 
 
 @dataclass(frozen=True)
@@ -191,9 +213,18 @@ def _deck_distance_grid(k_max: int, scale: float, square: bool, base: Tuple[floa
 
     The s-spacing divides 2*pi exactly, so every target sits on a grid
     node; only genuine discretization error enters the certification.
+    The result stands only if the window boundary lies farther than the
+    last target. Every boundary node is at least the half-width away, so
+    the half-width starts at the length of the shorter of two paths to
+    the k_max-th translate, plus a margin of 8 for grid error: the loop
+    through the core (2*pi*k) and the climb-and-wrap path at its best
+    height (4*sqrt(pi*k), or 3*(2*pi*k)^(1/3) for the squared warp). The
+    first flood then passes. The doubling loop stays as a guard: a flood
+    that fails the check is redone on a window twice as wide.
     """
     base_dr, base_ds = base
-    r_win = math.sqrt(math.pi * k_max) + 8.0
+    climb = 3.0 * (CIRCUMFERENCE * k_max) ** (1.0 / 3.0) if square else 4.0 * math.sqrt(math.pi * k_max)
+    r_win = min(CIRCUMFERENCE * k_max, climb) + 8.0
     for attempt in range(4):
         dr = max(base_dr, 2.0 * r_win / 400.0) * scale
         half = int(math.ceil(r_win / dr))

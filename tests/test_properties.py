@@ -7,20 +7,26 @@ against sympy on random matrices. Random words in each bundled deck's
 generators check that products keep exactly orthogonal parts without
 re-validation, and that input matrices are still checked where they
 enter. Orbit-ball counts and nearest lifts are checked against a plain
-scan of a box of lattice coordinates.
+scan of a box of lattice coordinates. The warped grid solver, which
+floods only the r >= 0 half of a symmetric grid, is checked bit for bit
+against a plain Dijkstra over the whole grid.
 """
 
+import heapq
 import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, Rational, eye
 
-from orbitlab import cli, flatgeo, groups
+from orbitlab import cli, flatgeo, groups, warped
 from orbitlab.algebra import int_determinant
 from orbitlab.euclid import (
     Isometry,
@@ -234,3 +240,88 @@ def test_verify_dual_enumerates_once_for_counts_and_once_per_volume(monkeypatch)
     flatgeo.verify_dual(deck, flatgeo.BASE_POINTS["klein2"], radii, samples=1000)
     # one enumeration for every count_r and count_2r, one orbit cloud per volume
     assert len(calls) == 1 + len(radii)
+
+
+# ---------------------------------------------------------------------------
+# the half-grid warped solve against a whole-grid Dijkstra
+
+
+def _whole_grid_distances(r_vals, ncol, ds, periodic, square, source):
+    """Heap Dijkstra over every row of the 8-neighbour grid, with the edge
+    weights of ``warped._solve_grid`` written out one edge at a time."""
+    nrow = len(r_vals)
+    dr = float(r_vals[1] - r_vals[0])
+    row_factor = warped.metric_factor(r_vals, square)
+    mid_factor = warped.metric_factor(0.5 * (r_vals[:-1] + r_vals[1:]), square)
+    adjacent = {(i, j): [] for i in range(nrow) for j in range(ncol)}
+
+    def link(a, b, w):
+        adjacent[a].append((b, w))
+        adjacent[b].append((a, w))
+
+    for i in range(nrow):
+        for j in range(ncol):
+            for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1)):
+                ti, tj = i + di, j + dj
+                if periodic:
+                    tj %= ncol
+                if ti >= nrow or not 0 <= tj < ncol:
+                    continue
+                if di == 0:
+                    w = math.sqrt(row_factor[i]) * ds
+                elif dj == 0:
+                    w = dr
+                else:
+                    w = math.sqrt(dr * dr + mid_factor[i] * ds * ds)
+                link((i, j), (ti, tj), w)
+    dist = np.full((nrow, ncol), np.inf)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        for nxt, w in adjacent[node]:
+            if d + w < dist[nxt]:
+                dist[nxt] = d + w
+                heapq.heappush(heap, (d + w, nxt))
+    return dist
+
+
+# powers of two and steps that are not, whose r_vals[1] - r_vals[0] can
+# differ from the step itself in the last bit
+STEPS = st.one_of(st.sampled_from([0.125, 0.25, 0.5]), st.floats(0.05, 1.5))
+
+
+@given(
+    half=st.integers(1, 20),
+    ncol=st.integers(3, 40),
+    dr=STEPS,
+    ds=STEPS,
+    periodic=st.booleans(),
+    square=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_half_grid_solve_matches_the_whole_grid(half, ncol, dr, ds, periodic, square, data):
+    r_vals = np.arange(-half, half + 1) * dr
+    nrow = len(r_vals)
+    # the centre row folds the grid; any other row, or an r-range shifted
+    # off symmetry, must keep the whole grid
+    row = data.draw(st.one_of(st.just(half), st.integers(0, nrow - 1)))
+    shift = data.draw(st.sampled_from([0.0, 0.0, 0.5 * dr]))
+    r_vals = r_vals + shift
+    source = (row, data.draw(st.integers(0, ncol - 1)))
+    sizes = []
+    real = warped.dijkstra
+
+    def spy(graph, *args, **kwargs):
+        sizes.append(graph.shape[0])
+        return real(graph, *args, **kwargs)
+
+    with mock.patch.object(warped, "dijkstra", spy):
+        got = warped._solve_grid(r_vals, np.arange(ncol) * ds, ds, periodic, square, source)
+    want = _whole_grid_distances(r_vals, ncol, ds, periodic, square, source)
+    assert np.array_equal(got, want)
+    folded = row == half and shift == 0.0
+    assert sizes == [(half + 1 if folded else nrow) * ncol]

@@ -1,10 +1,14 @@
 """The warped product surface: profile, distances, volumes, ratios."""
 
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from orbitlab import warped
 from orbitlab.errors import ConvergenceError
 from orbitlab.warped import (
     CIRCUMFERENCE,
@@ -181,3 +185,123 @@ def test_verify_dual_small_radii():
     for row in rep.rows:
         assert row.lower_lhs >= row.lower_rhs
         assert row.upper_lhs <= row.upper_rhs
+
+
+# --------------------------------------------------------------------------
+# golden certified values
+
+# Every certified warped value below was recorded once, each float as its
+# repr (or the error raised), and must replay bit for bit: solving half
+# the grid changes the work done, never a float. The deck tables are short
+# enough (k_max <= 24) that their grid spacing does not depend on how the
+# deck window is sized.
+GOLDEN_SPACINGS = (None, (0.3, 0.2), (0.125, 0.125))
+GOLDEN_RADII = (0.5, 1.0, 4.0, 6.0, 8.0, 16.0, 32.0, 64.0)
+
+
+def golden_calls():
+    calls = [
+        ("ball_volume", {"radius": r, "square": square, "spacing": spacing})
+        for spacing in GOLDEN_SPACINGS
+        for square in (False, True)
+        for r in GOLDEN_RADII
+    ]
+    calls.append(("falsifying_ratios", {"cs": [1.0], "radii": [4.0, 16.0]}))
+    calls += [("deck_distances", {"k_max": k}) for k in (1, 2, 4, 8, 16, 24)]
+    calls.append(("deck_distances", {"k_max": 4, "square": True}))
+    calls += [
+        ("point_distance", {"start": [0.0, 0.0], "end": [3.0, 0.0]}),
+        ("point_distance", {"start": [0.0, 0.0], "end": [0.0, CIRCUMFERENCE]}),
+    ]
+    # round-trip through JSON so recorded and replayed arguments agree
+    return json.loads(json.dumps([{"call": c, "kwargs": kw} for c, kw in calls]))
+
+
+def _reprs(obj):
+    """Dataclasses as dicts and sequences as lists, with every float as its
+    repr (numpy floats included), which pins it to the last bit."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _reprs(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [_reprs(x) for x in obj]
+    return repr(float(obj)) if isinstance(obj, float) else obj
+
+
+def golden_outcome(call, kwargs):
+    try:
+        return _reprs(getattr(warped, call)(**kwargs))
+    except Exception as exc:  # a recorded failure must replay as the same failure
+        return f"{type(exc).__name__}: {exc}"
+
+
+WARPED_GOLDEN = json.loads((Path(__file__).parent / "data" / "warped_golden.json").read_text())
+
+
+def test_golden_calls_are_the_recorded_ones():
+    assert [{"call": g["call"], "kwargs": g["kwargs"]} for g in WARPED_GOLDEN] == golden_calls()
+
+
+@pytest.mark.parametrize(
+    "case", WARPED_GOLDEN, ids=[f"{g['call']} {json.dumps(g['kwargs'])}" for g in WARPED_GOLDEN]
+)
+def test_certified_values_match_the_recorded_ones(case):
+    assert golden_outcome(case["call"], case["kwargs"]) == case["result"]
+
+
+# --------------------------------------------------------------------------
+# one flood per certified value, over half the rows
+
+
+def _record_solves(monkeypatch):
+    """Patch the module-global ``dijkstra`` (the name the tracer hooks) to
+    log the node count of every graph it solves."""
+    sizes = []
+    real = warped.dijkstra
+
+    def spy(graph, *args, **kwargs):
+        sizes.append(graph.shape[0])
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(warped, "dijkstra", spy)
+    return sizes
+
+
+def _record_grids(monkeypatch):
+    """Log (nrow, ncol) of every grid handed to ``_solve_grid``."""
+    grids = []
+    real = warped._solve_grid
+
+    def spy(r_vals, s_vals, *args, **kwargs):
+        grids.append((len(r_vals), len(s_vals)))
+        return real(r_vals, s_vals, *args, **kwargs)
+
+    monkeypatch.setattr(warped, "_solve_grid", spy)
+    return grids
+
+
+@pytest.mark.parametrize("square", [False, True])
+@pytest.mark.parametrize("spacing", [None, (0.125, 0.125)])
+@pytest.mark.parametrize("k_max", [1, 4, 32, 109])
+def test_deck_distances_floods_once_per_scale_over_half_the_rows(monkeypatch, k_max, spacing, square):
+    sizes = _record_solves(monkeypatch)
+    grids = _record_grids(monkeypatch)
+    deck_distances(k_max, square=square, spacing=spacing)
+    assert len(sizes) == 2
+    assert sizes == [(nrow // 2 + 1) * ncol for nrow, ncol in grids]
+
+
+@pytest.mark.parametrize("square", [False, True])
+@pytest.mark.parametrize("radius", [1.0, 16.0])
+def test_ball_volume_floods_half_the_rows(monkeypatch, radius, square):
+    sizes = _record_solves(monkeypatch)
+    grids = _record_grids(monkeypatch)
+    ball_volume(radius, square=square)
+    assert len(sizes) == 2
+    assert sizes == [(nrow // 2 + 1) * ncol for nrow, ncol in grids]
+
+
+def test_off_centre_point_distance_floods_the_whole_grid(monkeypatch):
+    sizes = _record_solves(monkeypatch)
+    grids = _record_grids(monkeypatch)
+    point_distance((3.0, 0.0), (-1.0, 1.5))
+    assert sizes == [nrow * ncol for nrow, ncol in grids]
