@@ -12,6 +12,7 @@ usage or inputs, 3 a resource limit (cap, window, or grid convergence).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -410,21 +411,20 @@ def _cmd_dirichlet(args) -> CommandResult:
     p = _parse_point(args.point)
     if p.dimension != deck.dimension:
         raise ValueError("point has the wrong dimension")
-    member = flatgeo.dirichlet_contains(deck, base, p)
-    d2, lifts = flatgeo.nearest_lifts(deck, base, p)
+    q = flatgeo.dirichlet_query(deck, base, p)
     payload: Dict[str, Any] = {
         "command": "dirichlet",
         "space": args.space,
         "base": _point_json(base),
         "point": _point_json(p),
-        "in_cell": member,
-        "nearest_dist_sq": str(d2),
-        "nearest_lifts": [_point_json(q) for q in lifts],
+        "in_cell": q.in_cell,
+        "nearest_dist_sq": str(q.dist_sq),
+        "nearest_lifts": [_point_json(lift) for lift in q.lifts],
     }
-    if d2 == 0:
+    rep = q.extension
+    if rep is None:
         payload["extension"] = None
     else:
-        rep = flatgeo.ray_extension(deck, base, p)
         payload["extension"] = {
             "infinite": rep.infinite,
             "tie": rep.tie,
@@ -432,10 +432,8 @@ def _cmd_dirichlet(args) -> CommandResult:
             "extension_sq": None if rep.extension_sq is None else str(rep.extension_sq),
         }
         if args.within is not None:
-            payload["within"] = {
-                "h": str(frac(args.within)),
-                "ok": flatgeo.extension_at_most(deck, base, p, frac(args.within)),
-            }
+            h = frac(args.within)
+            payload["within"] = {"h": str(h), "ok": rep.within(h)}
     return payload, True, None
 
 
@@ -1258,10 +1256,19 @@ def _emit_error(e: BaseException, args) -> None:
     print(f"orbitlab: {obj['error']}: {obj['message']}", file=sys.stderr)
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by `build_parser` on first use.
+
+    Parsing keeps no state in the parser: each call fills a fresh
+    namespace, and ``--config`` appends to a copy of its default list.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         _apply_config(args, argv)

@@ -37,8 +37,8 @@ from .euclid import (
     vec_dot,
     vec_sub,
 )
-from .groups import DeckGroup, word_ball_counts
-from .orbit import ball_counts
+from .groups import DeckGroup, OrbitHit, word_ball_counts
+from .orbit import image_counts
 
 BASE_POINTS: Dict[str, Point] = {
     "torus2": Point.of(0, 0),
@@ -109,7 +109,9 @@ class ExtensionReport:
     realizes the quotient distance, where q is the nearest lift; the
     extension length past q is (ray_scale - 1)*|q - center|, reported via
     its exact square ``extension_sq``. Infinite extensions set ``infinite``
-    and leave both fields None.
+    and leave both fields None. ``search_radius_sq`` is the squared radius
+    of the last orbit window enumerated, the one that certified
+    ``ray_scale`` (None when no window was needed).
     """
 
     direction_sq: Fraction
@@ -129,14 +131,26 @@ class ExtensionReport:
             else math.nan
         )
 
+    def within(self, h) -> bool:
+        """Exact test: is the extension at most ``h``?
 
-def _ray_setup(deck: DeckGroup, center: Point, target: Point):
-    d2, lifts = nearest_lifts(deck, center, target)
+        The same answer as `extension_at_most`, read off the report: an
+        element binds by |d| + h iff ray_scale <= 1 + h/|d|, that is
+        extension_sq <= h^2 (ties extend by 0, infinite rays by no h).
+        """
+        hh = frac(h)
+        if hh < 0:
+            raise ValueError("h must be nonnegative")
+        return self.tie or (not self.infinite and self.extension_sq <= hh * hh)
+
+
+def _ray_setup(center: Point, nearest: Tuple[Fraction, List[Point]]):
+    """(d, |d|^2, tie) from `nearest_lifts`' result: d points from the
+    center to the first nearest lift, and a tie means several lifts."""
+    d2, lifts = nearest
     if d2 == 0:
         raise ValueError("target lies on the orbit of the center; no ray direction")
-    tie = len(lifts) > 1
-    d = vec_sub(tuple(lifts[0]), tuple(center))
-    return d, d2, tie
+    return vec_sub(tuple(lifts[0]), tuple(center)), d2, len(lifts) > 1
 
 
 def _coset_slopes(deck: DeckGroup, center: Point, d: Sequence[Fraction]) -> List[Fraction]:
@@ -148,18 +162,30 @@ def _coset_slopes(deck: DeckGroup, center: Point, d: Sequence[Fraction]) -> List
 
 
 def ray_extension(
-    deck: DeckGroup, center: Point, target: Point, max_doublings: int = 64
+    deck: DeckGroup,
+    center: Point,
+    target: Point,
+    max_doublings: int = 64,
+    nearest: Optional[Tuple[Fraction, List[Point]]] = None,
 ) -> ExtensionReport:
     """Exact extension bound for the minimal ray from center toward target.
 
     Along z(t) = center + t*d each deck element u imposes
     |u(center) - center|^2 + 2t * <u(center) - center, A_u d> >= 0,
     affine in t, so the supremum of feasible t is decided by finitely
-    many elements. Enumeration stops once every unseen element provably
-    binds later than the best seen one (its constraint sits at distance
-    more than half its displacement).
+    many elements. An element displaced by |c| binds no earlier than
+    t = |c| / (2|d|). So once some element binds at T, every element
+    outside the window |c|^2 <= 4 T^2 |d|^2 binds after T, and one
+    enumeration of that window finds and certifies the minimum. Until
+    an element binds the window doubles from 2(|d| + 1), at most
+    ``max_doublings`` enumerations in all.
+
+    ``nearest`` is ``nearest_lifts(deck, center, target)`` when the
+    caller already has it.
     """
-    d, d2, tie = _ray_setup(deck, center, target)
+    if nearest is None:
+        nearest = nearest_lifts(deck, center, target)
+    d, d2, tie = _ray_setup(center, nearest)
     if tie:
         return ExtensionReport(d2, Fraction(1), Fraction(0), infinite=False, tie=True)
 
@@ -167,10 +193,9 @@ def ray_extension(
         if all(s >= 0 for s in _coset_slopes(deck, center, d)):
             return ExtensionReport(d2, None, None, infinite=True, tie=False)
 
-    radius = 2 * (sqrt_upper(d2) + 1)
+    rho2 = 4 * (sqrt_upper(d2) + 1) ** 2
     best_t: Optional[Fraction] = None
     for _ in range(max_doublings):
-        rho2 = radius * radius
         for hit in deck.enumerate_orbit(center, rho2):
             if hit.dist_sq == 0:
                 continue
@@ -180,14 +205,16 @@ def ray_extension(
                 t = hit.dist_sq / (-2 * slope)
                 if best_t is None or t < best_t:
                     best_t = t
-        # certificate: any element beyond ``radius`` binds at distance
-        # greater than radius/2 along the ray
-        if best_t is not None and best_t * best_t * d2 * 4 <= rho2:
+        if best_t is None:
+            rho2 *= 4
+            continue
+        certificate = 4 * best_t * best_t * d2
+        if certificate <= rho2:
             ext_sq = (best_t - 1) * (best_t - 1) * d2
             return ExtensionReport(
                 d2, best_t, ext_sq, infinite=False, tie=(best_t == 1), search_radius_sq=rho2
             )
-        radius *= 2
+        rho2 = certificate
     raise CapExceeded("extension search did not stabilize", limit=max_doublings)
 
 
@@ -201,7 +228,7 @@ def extension_at_most(deck: DeckGroup, center: Point, target: Point, h) -> bool:
     hh = frac(h)
     if hh < 0:
         raise ValueError("h must be nonnegative")
-    d, d2, tie = _ray_setup(deck, center, target)
+    d, d2, tie = _ray_setup(center, nearest_lifts(deck, center, target))
     if tie:
         return True
     hits = deck.enumerate_orbit_plus_sqrt(center, 2 * hh, 4 * d2)
@@ -219,6 +246,37 @@ def extension_at_most(deck: DeckGroup, center: Point, target: Point, h) -> bool:
         if d2 * k * k <= 4 * slope * slope * hh * hh:
             return True
     return False
+
+
+@dataclass(frozen=True)
+class DirichletQuery:
+    """Everything the Dirichlet query reports about ``target``.
+
+    ``in_cell``: target lies in the closed Dirichlet cell of the center;
+    ``dist_sq`` and ``lifts``: `nearest_lifts`; ``extension``: the
+    `ray_extension` report, None when target is on the center's orbit.
+    """
+
+    in_cell: bool
+    dist_sq: Fraction
+    lifts: Tuple[Point, ...]
+    extension: Optional[ExtensionReport]
+
+
+def dirichlet_query(deck: DeckGroup, center: Point, target: Point) -> DirichletQuery:
+    """Cell membership, nearest lifts and ray extension from one
+    nearest-lift solve.
+
+    The quotient distance is symmetric, so target is in the cell exactly
+    when |target - center|^2 equals the nearest-lift distance, and the
+    ray starts from the same lifts.
+    """
+    d2, lifts = nearest_lifts(deck, center, target)
+    diff = vec_sub(tuple(target), tuple(center))
+    extension = (
+        None if d2 == 0 else ray_extension(deck, center, target, nearest=(d2, lifts))
+    )
+    return DirichletQuery(vec_dot(diff, diff) == d2, d2, tuple(lifts), extension)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +346,10 @@ def _stratified_estimate(
     )
 
 
-def _orbit_cloud(deck: DeckGroup, center: Point, reach_sq: Fraction):
-    hits = deck.enumerate_orbit(center, reach_sq)
-    uniq = sorted({tuple(h.image) for h in hits})
+def _orbit_cloud(hits: Sequence[OrbitHit], center: Point, reach_sq: Fraction):
+    """The distinct orbit points among ``hits`` within ``reach_sq`` of the
+    center, sorted, and the center's index among them."""
+    uniq = sorted({tuple(h.image) for h in hits if h.dist_sq <= reach_sq})
     pts = np.array([[float(c) for c in p] for p in uniq], dtype=float)
     ctr = tuple(center)
     center_idx = uniq.index(ctr)
@@ -303,17 +362,22 @@ def ball_volume(
     radius,
     samples: int = 200_000,
     seed=7,
+    hits: Optional[Sequence[OrbitHit]] = None,
 ) -> VolumeEstimate:
     """Monte Carlo volume of the metric ball of ``radius`` in the quotient.
 
     The ball lifts to {y : |y - center| <= radius and center is the
     nearest orbit point of the center's orbit}, so the indicator is one
     nearest-neighbor query against the orbit cloud out to 2*radius.
+    ``hits`` is ``deck.enumerate_orbit(center, R)`` for some R >= 4*radius^2
+    when the caller already has it.
     """
     r = frac(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
-    cloud, center_idx = _orbit_cloud(deck, center, 4 * r * r)
+    if hits is None:
+        hits = deck.enumerate_orbit(center, 4 * r * r)
+    cloud, center_idx = _orbit_cloud(hits, center, 4 * r * r)
     tree = cKDTree(cloud)
     rf = float(r)
     cf = np.array([float(c) for c in center], dtype=float)
@@ -347,7 +411,7 @@ def thin_set_volume(
     hh = frac(thickness)
     if r <= 0 or hh <= 0:
         raise ValueError("radius and thickness must be positive")
-    cloud, center_idx = _orbit_cloud(deck, center, 4 * r * r)
+    cloud, center_idx = _orbit_cloud(deck.enumerate_orbit(center, 4 * r * r), center, 4 * r * r)
     tree = cKDTree(cloud)
     rf = float(r)
     hf = float(hh)
@@ -481,14 +545,18 @@ def verify_dual(
     estimate plus three sigma. Upper: #D(r) * Vol(B_r) <= omega_n *
     (2r)^n, tested against the estimate minus three sigma. A failure of
     either guard band is a genuine counterexample up to MC noise.
+
+    One orbit enumeration, at 4*max(r)^2, serves every count and every
+    radius's orbit cloud.
     """
     n = deck.dimension
     omega = unit_ball_volume(n)
     rows: List[DualRow] = []
     rs = sorted(frac(v) for v in radii)
-    counts = ball_counts(deck, center, [r * r for r in rs] + [4 * r * r for r in rs])
+    hits = deck.enumerate_orbit(center, max((4 * r * r for r in rs), default=Fraction(0)))
+    counts = image_counts(hits, [r * r for r in rs] + [4 * r * r for r in rs])
     for i, (r, count_r, count_2r) in enumerate(zip(rs, counts, counts[len(rs):])):
-        est = ball_volume(deck, center, r, samples=samples, seed=[seed, i])
+        est = ball_volume(deck, center, r, samples=samples, seed=[seed, i], hits=hits)
         rf = float(r)
         lower_lhs = count_2r * (est.value + 3 * est.sigma)
         lower_rhs = omega * rf ** n
@@ -523,7 +591,9 @@ def verify_dual(
         int_radii = sorted({int(r) for r in rs if frac(int(r)) == r and r >= 1})
         counts = word_ball_counts(group, int_radii[-1]) if int_radii else []
         for i, r in enumerate(int_radii):
-            est = ball_volume(deck, center, r, samples=samples, seed=[seed, 1000 + i])
+            est = ball_volume(
+                deck, center, r, samples=samples, seed=[seed, 1000 + i], hits=hits
+            )
             lhs = counts[r] * (est.value - 3 * est.sigma)
             rhs = omega * (2 * hfloat * r) ** n
             word_rows.append(

@@ -34,6 +34,7 @@ from .euclid import (
     mat_rank,
     mat_vec,
     sqrt_upper,
+    vec_add,
     vec_dot,
     vec_sub,
 )
@@ -454,12 +455,26 @@ class DeckGroup:
         w is rep's search center for (x, y); sorted by |g(y) - x|^2.
 
         The one loop over coset representatives times a lattice query.
+        With rep = (A, b), each hit builds the single isometry
+        g = (A, A v + b), no matrix product, and its image
+        g(y) = A y + (A v + b) with A y computed once per coset;
+        translation cosets skip A altogether.
         """
+        if y.dimension != self.dimension:
+            raise DimensionMismatch("isometry and point dimensions disagree")
         hits: List[OrbitHit] = []
         for rep in self.coset_reps:
-            for lp in near(search_center(rep, x, y)):
-                g = rep * Isometry.translation_by(lp.vector)
-                hits.append(OrbitHit(g, g(y), lp.dist_sq))
+            a, b = rep.orthogonal, rep.translation
+            points = near(search_center(rep, x, y))
+            if rep.is_translation:
+                for lp in points:
+                    t = vec_add(lp.vector, b)
+                    hits.append(OrbitHit(Isometry(a, t), Point(vec_add(y.coords, t)), lp.dist_sq))
+            else:
+                ay = mat_vec(a, y.coords)
+                for lp in points:
+                    t = vec_add(mat_vec(a, lp.vector), b)
+                    hits.append(OrbitHit(Isometry(a, t), Point(vec_add(ay, t)), lp.dist_sq))
         hits.sort(key=lambda h: (h.dist_sq, tuple(h.image), h.element.sort_key()))
         return hits
 

@@ -70,6 +70,13 @@ def _image_dists(hits) -> List[Fraction]:
     return sorted({tuple(h.image): h.dist_sq for h in hits}.values())
 
 
+def image_counts(hits, radii_sq: Sequence) -> List[int]:
+    """Distinct orbit points among ``hits`` in the closed ball of each
+    squared radius (Fractions); the hits must reach the largest one."""
+    dists = _image_dists(hits)
+    return [bisect.bisect_right(dists, r2) for r2 in radii_sq]
+
+
 def ball_counts(deck: DeckGroup, x: Point, radii_sq: Sequence) -> List[int]:
     """Distinct orbit points of x in the closed ball of each squared radius.
 
@@ -77,8 +84,7 @@ def ball_counts(deck: DeckGroup, x: Point, radii_sq: Sequence) -> List[int]:
     a squared radius need not be a perfect square (h^2 r^2 in Milnor).
     """
     rs2 = [frac(v) for v in radii_sq]
-    dists = _image_dists(deck.enumerate_orbit(x, max(rs2, default=0)))
-    return [bisect.bisect_right(dists, r2) for r2 in rs2]
+    return image_counts(deck.enumerate_orbit(x, max(rs2, default=0)), rs2)
 
 
 def orbit_ball_count(deck: DeckGroup, x: Point, radius) -> int:

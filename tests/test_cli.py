@@ -5,6 +5,9 @@ are asserted exactly as a shell would see them.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -405,3 +408,57 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_te
 @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
 def test_exact_outputs_match_the_recorded_ones(capsys, case):
     assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+# mixed subcommands, --config then none, --timings then none, csv then
+# json, an argparse usage error and a ValueError one; each must print as
+# it does in a fresh process
+REUSE_SEQUENCE = [
+    ("orbit-count", "--space", "moebius2", "--radii", "1,2", "--config", "base=1/2,1/4"),
+    ("orbit-count", "--space", "moebius2", "--radii", "1,2"),
+    ("soul-dim", "--space", "torus2", "--timings"),
+    ("orbit-count", "--space", "z2", "--radii", "1,2,5", "--format", "csv"),
+    ("dirichlet", "--space", "torus2"),
+    ("dirichlet", "--space", "klein2", "--point", "3/4,1/3", "--within", "1/4"),
+    ("soul-dim", "--space", "torus2", "--config", "wibble=3"),
+]
+
+
+def _run_alone(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "orbitlab", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        in_process = []
+        for argv in REUSE_SEQUENCE:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as e:  # argparse's own usage errors
+                code = e.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert built == [1]
+        assert cli._parser().parse_args(["soul-dim", "--space", "torus2"]).config == []
+    finally:
+        cli._parser.cache_clear()
+    assert [c for c, _, _ in in_process] == [0, 0, 0, 0, 2, 0, 2]
+    assert in_process == [_run_alone(argv) for argv in REUSE_SEQUENCE]

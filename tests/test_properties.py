@@ -7,12 +7,16 @@ against sympy on random matrices. Random words in each bundled deck's
 generators check that products keep exactly orthogonal parts without
 re-validation, and that input matrices are still checked where they
 enter. Orbit-ball counts and nearest lifts are checked against a plain
-scan of a box of lattice coordinates. The warped grid solver, which
+scan of a box of lattice coordinates, the orbit hits against the
+composed rep * t_v construction, and ray scales against the first deck
+element of a box scan that cuts the ray. The warped grid solver, which
 floods only the r >= 0 half of a symmetric grid, is checked bit for bit
 against a plain Dijkstra over the whole grid.
 """
 
+import contextlib
 import heapq
+import io
 import itertools
 import json
 import math
@@ -22,7 +26,7 @@ from unittest import mock
 import numpy as np
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, Rational, eye
 
@@ -33,6 +37,7 @@ from orbitlab.euclid import (
     Point,
     is_orthogonal,
     mat_inverse,
+    mat_vec,
     mat_rank,
     solve_square,
     vec_dot,
@@ -226,7 +231,51 @@ def test_nearest_lifts_match_a_box_scan(name, data):
     assert nearest_lifts(deck, center, target) == (best, [Point(p) for p in minimisers])
 
 
-def test_verify_dual_enumerates_once_for_counts_and_once_per_volume(monkeypatch):
+def _old_hits(deck, x, y, near):
+    """`DeckGroup._hits` as it was first written: every hit composes
+    rep * t_v from two isometries and applies the product to y."""
+    hits = []
+    for rep in deck.coset_reps:
+        for lp in near(groups.search_center(rep, x, y)):
+            g = rep * Isometry.translation_by(lp.vector)
+            hits.append((g, g(y), lp.dist_sq))
+    hits.sort(key=lambda h: (h[2], tuple(h[1]), h[0].sort_key()))
+    return hits
+
+
+@pytest.mark.parametrize("name", ORBIT_DECKS)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_hits_match_the_composed_construction(name, data):
+    deck = cli._deck(name)
+    x = data.draw(points_in(deck.dimension))
+    y = data.draw(points_in(deck.dimension))
+    rho2 = data.draw(st.fractions(min_value=0, max_value=10, max_denominator=9))
+    radius = data.draw(st.fractions(min_value=0, max_value=2, max_denominator=9))
+    slack = data.draw(st.fractions(min_value=0, max_value=4, max_denominator=9))
+    nears = (
+        lambda w: deck.lattice.points_near(w, rho2),
+        lambda w: deck.lattice.points_near_plus_sqrt(w, radius, slack),
+    )
+    built = []
+    init = Isometry.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    for near in nears:
+        want = _old_hits(deck, x, y, near)
+        with mock.patch.object(Isometry, "__init__", counted):
+            got = deck._hits(x, y, near)
+        assert [tuple(h) for h in got] == want
+        for (g, _, _), (h, _, _) in zip(got, want):
+            assert type(g.orthogonal) is type(h.orthogonal)
+        assert len(built) == len(got)  # one isometry per hit
+        built.clear()
+
+
+def test_verify_dual_enumerates_once(monkeypatch):
     calls = []
     enumerate_orbit = groups.DeckGroup.enumerate_orbit
 
@@ -237,9 +286,149 @@ def test_verify_dual_enumerates_once_for_counts_and_once_per_volume(monkeypatch)
     monkeypatch.setattr(groups.DeckGroup, "enumerate_orbit", counted)
     radii = [1, 2, 3]
     deck = builtin_deck_group("klein2")
-    flatgeo.verify_dual(deck, flatgeo.BASE_POINTS["klein2"], radii, samples=1000)
-    # one enumeration for every count_r and count_2r, one orbit cloud per volume
-    assert len(calls) == 1 + len(radii)
+    flatgeo.verify_dual(deck, flatgeo.BASE_POINTS["klein2"], radii, samples=1000, word_variant=True)
+    # one enumeration, at 4 * max(r)^2, for every count and every orbit cloud
+    assert calls == [36]
+
+
+@pytest.mark.parametrize("name", ["cylinder2", "moebiusxT"])
+def test_shared_enumeration_keeps_every_cloud(name):
+    deck = builtin_deck_group(name)
+    center = flatgeo.BASE_POINTS[name]
+    hits = deck.enumerate_orbit(center, 16)
+    for r in (Fraction(1, 2), 1, Fraction(3, 2), 2):
+        alone = flatgeo._orbit_cloud(deck.enumerate_orbit(center, 4 * r * r), center, 4 * r * r)
+        shared = flatgeo._orbit_cloud(hits, center, 4 * Fraction(r) ** 2)
+        assert np.array_equal(alone[0], shared[0]) and alone[1] == shared[1]
+        assert flatgeo.ball_volume(deck, center, r, samples=2000, seed=5) == flatgeo.ball_volume(
+            deck, center, r, samples=2000, seed=5, hits=hits)
+
+
+# ---------------------------------------------------------------------------
+# ray extensions against a scan of deck elements
+
+RAY_COORD = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+def _box_elements(deck, x, reach):
+    """Every g = rep * t_v with |g(x) - x| <= reach, found by scanning a
+    box of lattice coordinates, as (g, g(x) - x)."""
+    basis = deck.lattice.basis
+    out = []
+    for rep in deck.coset_reps:
+        w = vec_sub(tuple(rep.inverse()(x)), tuple(x))
+        span = reach + math.sqrt(float(vec_dot(w, w)))
+        ranges = [range(-k, k + 1)
+                  for k in (math.floor(span / math.sqrt(float(vec_dot(b, b)))) + 1 for b in basis)]
+        for m in itertools.product(*ranges):
+            g = rep * Isometry.translation_by(deck.lattice.vector(m))
+            c = vec_sub(tuple(g(x)), tuple(x))
+            if vec_dot(c, c) <= reach * reach:
+                out.append((g, c))
+    return out
+
+
+def _first_binding(deck, center, d, reach):
+    """Least t at which some g with |g(center) - center| <= reach cuts the
+    ray center + t d out of the Dirichlet cell: |z - g(center)| < |z - center|
+    past t = |c|^2 / (2 <d, c>) for c = g(center) - center with <d, c> > 0."""
+    ts = [vec_dot(c, c) / (2 * vec_dot(d, c))
+          for _, c in _box_elements(deck, center, reach) if vec_dot(d, c) > 0]
+    return min(ts, default=None)
+
+
+@st.composite
+def ray_cases(draw, name):
+    deck = cli._deck(name)
+    center = Point(tuple(draw(COORD) for _ in range(deck.dimension)))
+    target = Point(tuple(draw(RAY_COORD) for _ in range(deck.dimension)))
+    d2, lifts = nearest_lifts(deck, center, target)
+    assume(d2 != 0)
+    return deck, center, target, d2, lifts
+
+
+@pytest.mark.parametrize("name", ORBIT_DECKS)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_ray_scale_is_the_first_binding_element(name, data):
+    deck, center, target, d2, lifts = data.draw(ray_cases(name))
+    d = vec_sub(tuple(lifts[0]), tuple(center))
+    rep = flatgeo.ray_extension(deck, center, target)
+    if rep.infinite:
+        assert _first_binding(deck, center, d, 6) is None
+        return
+    # an element binding at t has |c| <= 2 t |d|, so this box holds them all
+    reach = 2 * float(rep.ray_scale) * math.sqrt(float(d2)) + 1
+    assert _first_binding(deck, center, d, reach) == rep.ray_scale
+    assert rep.tie == (len(lifts) > 1 or rep.ray_scale == 1)
+    assert rep.extension_sq == (rep.ray_scale - 1) ** 2 * d2
+
+
+@pytest.mark.parametrize("name", ORBIT_DECKS)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_report_within_matches_extension_at_most(name, data):
+    deck, center, target, _, _ = data.draw(ray_cases(name))
+    rep = flatgeo.ray_extension(deck, center, target)
+    hs = [Fraction(0), data.draw(st.fractions(min_value=0, max_value=4, max_denominator=16))]
+    if rep.extension_sq is not None:
+        # the extension itself when it is rational, else just below it
+        ext = rep.extension_sq
+        hs.append(Fraction(math.isqrt(ext.numerator), math.isqrt(ext.denominator)))
+    for h in hs:
+        assert rep.within(h) == flatgeo.extension_at_most(deck, center, target, h)
+    with pytest.raises(ValueError):
+        rep.within(-1)
+
+
+@pytest.mark.parametrize("name", ORBIT_DECKS)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_ray_window_jumps_to_its_certificate(name, data):
+    deck, center, target, _, lifts = data.draw(ray_cases(name))
+    d = vec_sub(tuple(lifts[0]), tuple(center))
+    windows = []
+    enumerate_orbit = groups.DeckGroup.enumerate_orbit
+
+    def recorded(self, x, radius_sq):
+        hits = enumerate_orbit(self, x, radius_sq)
+        binds = any(vec_dot(vec_sub(tuple(h.image), tuple(x)), mat_vec(h.element.orthogonal, d)) < 0
+                    for h in hits)
+        windows.append(binds)
+        return hits
+
+    with mock.patch.object(groups.DeckGroup, "enumerate_orbit", recorded):
+        rep = flatgeo.ray_extension(deck, center, target)
+    if rep.infinite or len(lifts) > 1:
+        assert windows == []
+        return
+    first = windows.index(True)
+    assert not any(windows[:first])  # the window only doubles while nothing binds
+    assert len(windows) - first <= 2
+    assert rep.search_radius_sq >= 4 * rep.ray_scale ** 2 * rep.direction_sq
+
+
+@pytest.mark.parametrize("name", DECK_GROUP_NAMES)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_dirichlet_command_solves_one_quotient_distance(name, data):
+    deck, center, target, _, _ = data.draw(ray_cases(name))
+    calls = []
+    quotient_dist_sq = groups.DeckGroup.quotient_dist_sq
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return quotient_dist_sq(self, x, y)
+
+    argv = ["dirichlet", "--space", name, "--base=" + ",".join(map(str, center)),
+            "--point=" + ",".join(map(str, target)), "--within=1/2"]
+    with mock.patch.object(groups.DeckGroup, "quotient_dist_sq", counted), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    assert len(calls) == 1
+    doc = json.loads(out.getvalue())
+    assert doc["in_cell"] == flatgeo.dirichlet_contains(deck, center, target)
+    assert doc["within"]["ok"] == flatgeo.extension_at_most(deck, center, target, Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
