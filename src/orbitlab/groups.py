@@ -7,6 +7,15 @@ machinery. ``DeckGroup`` models a cocompact group of euclidean
 isometries as finitely many isometry cosets over a translation lattice,
 which makes orbit enumeration exact: every orbit point in a ball is
 found by integer lattice search, never by flood fill.
+
+The exact core runs on integers and builds a Fraction only for a value
+handed back to a caller. A lattice query writes |B m - w|^2 as
+q(m) / scale with q an integer quadratic in the coordinates m and scans
+the ellipsoid q(m) <= limit level by level (Fincke-Pohst), each range
+exact by ``isqrt``. Orbit hits are integer images and translations over
+one common denominator. Deck elements in normal form (``DeckWord``, a
+coset index and integer lattice coordinates, after Zassenhaus) multiply
+and invert through integer tables, so word balls hash int tuples.
 """
 
 from __future__ import annotations
@@ -15,8 +24,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from math import floor, isqrt, lcm
+from operator import add, mul, sub
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     CapExceeded,
@@ -31,10 +41,10 @@ from .euclid import (
     frac,
     leq_radius_plus_sqrt,
     mat_inverse,
+    mat_mul,
     mat_rank,
+    mat_transpose,
     mat_vec,
-    sqrt_upper,
-    vec_add,
     vec_dot,
     vec_sub,
 )
@@ -173,6 +183,46 @@ class LatticePoint(NamedTuple):
     dist_sq: Fraction  # squared distance to the query vector
 
 
+class _Fractions(dict):
+    """n -> Fraction(n, den), each built once: the values a query hands
+    back repeat across its points, so one Fraction serves them all."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, n: int) -> Fraction:
+        f = self[n] = Fraction(n, self.den)
+        return f
+
+
+def _ints(values: Sequence[Fraction], den: int) -> Tuple[int, ...]:
+    """values * den, for a den that every denominator divides."""
+    return tuple(x.numerator * (den // x.denominator) for x in values)
+
+
+def _mat_ints(a: Sequence[Sequence[int]], m: Sequence[int]) -> List[int]:
+    return [sum(map(mul, row, m)) for row in a]
+
+
+class _Quadratic(NamedTuple):
+    """q(m) = scale * |B m - w|^2 as an integer quadratic form in the
+    lattice coordinates m, q(m) = m^T M m + 2 b^T m + c.
+
+    ``levels[l]`` is (M, b) of the quadratic in m_l, ..., m_{k-1} that is
+    left after minimising over m_0, ..., m_{l-1} over the reals: each step
+    is the fraction-free Schur complement A * (rest) - (coupling)^2 with
+    A = M[0][0], the LDL^T of M without division. ``floor`` is the value
+    once every coordinate is minimised, scaled by every pivot.
+    """
+
+    scale: int
+    levels: tuple
+    floor: int
+
+
 @dataclass(frozen=True)
 class TranslationLattice:
     """Free abelian group of translations spanned by independent vectors."""
@@ -208,14 +258,16 @@ class TranslationLattice:
         return mat_inverse(self.gram)
 
     @cached_property
-    def _int_gram(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
-        # gram = (integer matrix) / scale
-        scale = 1
-        for row in self.gram:
-            for x in row:
-                scale = scale * x.denominator // _gcd(scale, x.denominator)
-        mat = tuple(tuple(int(x * scale) for x in row) for row in self.gram)
-        return mat, scale
+    def int_basis(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+        """(B, D): integer rows B with basis = B / D."""
+        d = lcm(*(x.denominator for row in self.basis for x in row))
+        return tuple(_ints(row, d) for row in self.basis), d
+
+    @cached_property
+    def _int_gram(self) -> Tuple[Tuple[int, ...], ...]:
+        """B B^T, the Gram matrix times D^2."""
+        b, _ = self.int_basis
+        return tuple(tuple(sum(map(mul, bi, bj)) for bj in b) for bi in b)
 
     def vector(self, coords: Sequence[int]) -> Tuple[Fraction, ...]:
         n = self.dimension
@@ -247,106 +299,153 @@ class TranslationLattice:
         w = tuple(frac(x) for x in v)
         return all(vec_dot(b, w) == 0 for b in self.basis)
 
-    def _projection_data(self, w: Tuple[Fraction, ...]):
-        """Least-squares data for |B m - w|^2 = Q(m) + c0."""
-        proj = tuple(vec_dot(b, w) for b in self.basis)
-        a = mat_vec(self.gram_inverse, proj)
-        c0 = vec_dot(w, w) - vec_dot(a, proj)
-        return a, c0
+    def _quadratic(self, w: Sequence[Fraction]) -> _Quadratic:
+        """The integer form of |B m - w|^2 for a target w of Fractions.
+
+        With w = W / e and B = B_int / D, |B m - w|^2 = q(m) / (D e)^2
+        where q(m) = e^2 m^T (B_int B_int^T) m - 2 e D m^T B_int W + D^2 |W|^2.
+        """
+        e = lcm(*(x.denominator for x in w))
+        ww = _ints(w, e)
+        basis, d = self.int_basis
+        m = [[e * e * g for g in row] for row in self._int_gram]
+        b = [-e * d * sum(map(mul, row, ww)) for row in basis]
+        c = d * d * sum(map(mul, ww, ww))
+        levels = []
+        while m:
+            levels.append((m, b))
+            top = m[0]
+            a = top[0]
+            m = [[a * mij - top[i] * top[j] for j, mij in enumerate(row) if j]
+                 for i, row in enumerate(m) if i]
+            b, c = [a * bi - top[i] * b[0] for i, bi in enumerate(b) if i], a * c - b[0] * b[0]
+        return _Quadratic((d * e) ** 2, tuple(levels), c)
+
+    def _enumerate(self, quad: _Quadratic, limit: int) -> List[Tuple[int, Tuple[int, ...]]]:
+        """Every (q(m), m) with q(m) <= limit, sorted: the one lattice scan.
+
+        Pruned enumeration (Fincke-Pohst), outermost coordinate first and
+        on integers only. At level l, with m_{l+1}, ... fixed, level l's
+        quadratic reads A m_l^2 + 2 B m_l + C, and A times it equals
+        (A m_l + B)^2 + Q, Q being level l + 1's value. So it stays within
+        level l's bound L_l exactly when |A m_l + B| <= isqrt(A L_l - Q),
+        which gives the range of m_l that still has a real completion; the
+        innermost range holds exactly the kept points, so no candidate is
+        rejected. The key (q, m) sorts as (|B m - w|^2, m).
+
+        Raises CapExceeded when the scan could visit more points than
+        `enumeration_cap` allows, before it starts.
+        """
+        levels = quad.levels
+        bounds = [limit]
+        for m, _ in levels:
+            bounds.append(bounds[-1] * m[0][0])
+        if quad.floor > bounds[-1]:
+            return []
+        _check_scan_size(levels, bounds[-1] - quad.floor)
+        out: List[Tuple[int, Tuple[int, ...]]] = []
+
+        def scan(level: int, outer: Tuple[int, ...], q_outer: int) -> None:
+            m, b = levels[level]
+            row = m[0]
+            a = row[0]
+            lin = b[0] + sum(map(mul, row[1:], outer))
+            s = isqrt(bounds[level + 1] - q_outer)
+            lo, hi = -((s + lin) // a), (s - lin) // a
+            if level:
+                for mi in range(lo, hi + 1):
+                    z = a * mi + lin
+                    scan(level - 1, (mi,) + outer, (z * z + q_outer) // a)
+            else:
+                for mi in range(lo, hi + 1):
+                    z = a * mi + lin
+                    out.append(((z * z + q_outer) // a, (mi,) + outer))
+
+        if levels:
+            scan(len(levels) - 1, (), quad.floor)
+        else:
+            out.append((quad.floor, ()))
+        out.sort()
+        return out
+
+    def _points(self, target: Sequence, limit: Callable[[int], int]) -> List[LatticePoint]:
+        w = tuple(frac(x) for x in target)
+        quad = self._quadratic(w)
+        basis, d = self.int_basis
+        cols = tuple(zip(*basis)) if basis else ((),) * len(w)
+        coord, dist = _Fractions(d), _Fractions(quad.scale)
+        return [
+            LatticePoint(m, tuple(coord[v] for v in _mat_ints(cols, m)), dist[q])
+            for q, m in self._enumerate(quad, limit(quad.scale))
+        ]
 
     def points_near(self, target: Sequence, radius_sq) -> List[LatticePoint]:
         """All lattice vectors u with |u - target|^2 <= radius_sq, exactly."""
-        rho2 = frac(radius_sq)
-        return self._enumerate(tuple(frac(x) for x in target), rho2, None)
+        return self._points(target, _ball_limit(frac(radius_sq)))
 
     def points_near_plus_sqrt(self, target: Sequence, radius, slack_sq) -> List[LatticePoint]:
         """All lattice vectors u with |u - target| <= radius + sqrt(slack_sq)."""
-        r = frac(radius)
-        q2 = frac(slack_sq)
-        bound = (r + sqrt_upper(q2)) ** 2
-        return self._enumerate(
-            tuple(frac(x) for x in target),
-            bound,
-            lambda d2: leq_radius_plus_sqrt(d2, r, q2),
-        )
-
-    def _enumerate(self, w, rho2_ub: Fraction, keep) -> List[LatticePoint]:
-        if self.rank == 0:
-            d2 = vec_dot(w, w)
-            ok = keep(d2) if keep is not None else d2 <= rho2_ub
-            return [LatticePoint((), tuple(w), d2)] if ok else []
-        a, c0 = self._projection_data(w)
-        out: List[LatticePoint] = []
-        if c0 > rho2_ub:
-            return out
-        slack = rho2_ub - c0
-        ranges = []
-        for j in range(self.rank):
-            half = sqrt_upper(slack * self.gram_inverse[j][j])
-            lo = _ceil_frac(a[j] - half)
-            hi = _floor_frac(a[j] + half)
-            if lo > hi:
-                return out
-            ranges.append(range(lo, hi + 1))
-        gram_int, e_scale = self._int_gram
-        d_scale = 1
-        for x in a:
-            d_scale = d_scale * x.denominator // _gcd(d_scale, x.denominator)
-        alpha = [int(x * d_scale) for x in a]
-        denom = d_scale * d_scale * e_scale
-        # exact integer comparison: Q(m) <= slack  <=>  q_int * slack.den <= slack.num * denom
-        q_limit_num = slack.numerator * denom
-        q_limit_den = slack.denominator
-        k = self.rank
-        for m in product(*ranges):
-            mu = [d_scale * m[j] - alpha[j] for j in range(k)]
-            q_int = 0
-            for i in range(k):
-                gi = gram_int[i]
-                mi = mu[i]
-                if mi:
-                    q_int += mi * sum(gi[j] * mu[j] for j in range(k))
-            if keep is None:
-                if q_int * q_limit_den > q_limit_num:
-                    continue
-                d2 = Fraction(q_int, denom) + c0
-            else:
-                d2 = Fraction(q_int, denom) + c0
-                if not keep(d2):
-                    continue
-            out.append(LatticePoint(tuple(m), self.vector(m), d2))
-        out.sort(key=lambda p: (p.dist_sq, p.coords))
-        return out
+        return self._points(target, _plus_sqrt_limit(frac(radius), frac(slack_sq)))
 
     def nearest_dist_sq(self, target: Sequence) -> Fraction:
-        """Exact squared distance from target to the lattice."""
-        w = tuple(frac(x) for x in target)
-        if self.rank == 0:
-            return vec_dot(w, w)
-        a, c0 = self._projection_data(w)
-        rounded = tuple(_round_frac(x) for x in a)
-        diff = vec_sub(self.vector(rounded), w)
-        upper = vec_dot(diff, diff)
-        hits = self._enumerate(w, upper, None)
-        return hits[0].dist_sq if hits else upper
+        """Exact squared distance from target to the lattice.
+
+        Rounding each coordinate in turn, outermost first (Babai's nearest
+        plane), gives a lattice point whose q bounds the minimum; one scan
+        within that bound reads the minimum off its first key.
+        """
+        quad = self._quadratic(tuple(frac(x) for x in target))
+        q, outer = quad.floor, ()
+        for m, b in reversed(quad.levels):
+            row = m[0]
+            a = row[0]
+            lin = b[0] + sum(map(mul, row[1:], outer))
+            mi = (a - 2 * lin) // (2 * a)
+            z = a * mi + lin
+            q, outer = (z * z + q) // a, (mi,) + outer
+        return Fraction(self._enumerate(quad, q)[0][0], quad.scale)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _ball_limit(rho2: Fraction) -> Callable[[int], int]:
+    """limit(scale): the largest integer q with q / scale <= rho2."""
+    return lambda scale: rho2.numerator * scale // rho2.denominator
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+def _plus_sqrt_limit(r: Fraction, q2: Fraction) -> Callable[[int], int]:
+    """limit(scale): the largest integer q with sqrt(q / scale) <= r + sqrt(q2),
+    for r, q2 >= 0.
+
+    (r + sqrt(q2))^2 scale = (r^2 + q2) scale + sqrt(4 r^2 q2 scale^2), and
+    floor(x) + isqrt(floor(y)) is floor(x + sqrt(y)) or one less, so at
+    most two exact tests settle it.
+    """
+
+    def limit(scale: int) -> int:
+        base = (r * r + q2) * scale
+        cross = 4 * r * r * q2 * scale * scale
+        q = floor(base) + isqrt(max(floor(cross), 0))
+        while leq_radius_plus_sqrt(Fraction(q + 1, scale), r, q2):
+            q += 1
+        return q
+
+    return limit
 
 
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
+def _check_scan_size(levels, slack: int) -> None:
+    """Raise CapExceeded when the scan's node count could pass the cap.
 
-
-def _round_frac(x: Fraction) -> int:
-    return _floor_frac(x + Fraction(1, 2))
+    Level l's range has at most 2 s / A + 1 values, where s <= isqrt of
+    slack / (product of the pivots above l): the box of the ellipsoid in
+    the triangular frame of the Schur steps.
+    """
+    size, above = 1, 1
+    for m, _ in reversed(levels):
+        a = m[0][0]
+        size *= 2 * isqrt(slack // above) // a + 1
+        above *= a
+    cap = enumeration_cap()
+    if size > cap:
+        raise CapExceeded(f"lattice scan of up to {size} points exceeds the cap {cap}", limit=cap)
 
 
 def search_center(rep: Isometry, x: Point, y: Point) -> Tuple[Fraction, ...]:
@@ -360,6 +459,153 @@ class OrbitHit(NamedTuple):
     dist_sq: Fraction
 
 
+class DeckWord(NamedTuple):
+    """A deck element in normal form: coset_reps[coset] * t_v, v the lattice
+    vector with integer ``coords`` (Zassenhaus' normal form).
+
+    Products and inverses are integer arithmetic on the deck's tables:
+    r_i t_u r_j t_w = r_k t_(c + C_j u + w) where r_i r_j = r_k t_c and C_j
+    is A_j^T acting on lattice coordinates. Words hash and compare as int
+    tuples; ``kernel`` is the same object for every word of one deck.
+    """
+
+    coset: int
+    coords: Tuple[int, ...]
+    kernel: "_Kernel"
+
+    def __mul__(self, other: "DeckWord") -> "DeckWord":
+        i, u, kern = self
+        j, w, _ = other
+        k, c = kern.products[i][j]
+        conj = kern.conj[j]
+        if conj is not None:
+            u = _mat_ints(conj, u)
+        return DeckWord(k, tuple(map(add, map(add, c, u), w)), kern)
+
+    def inverse(self) -> "DeckWord":
+        """(r_i t_u)^-1 = r_i^-1 t_(-A_i u) = r_j t_(d - A_i u), r_i^-1 = r_j t_d."""
+        i, u, kern = self
+        j, d = kern.inverses[i]
+        act = kern.act[i]
+        if act is not None:
+            u = _mat_ints(act, u)
+        return DeckWord(j, tuple(map(sub, d, u)), kern)
+
+    def isometry(self) -> Isometry:
+        return self.kernel.isometry(self)
+
+    def to_obj(self) -> dict:
+        return self.isometry().to_obj()
+
+    def __repr__(self) -> str:
+        return f"DeckWord(coset={self.coset}, coords={self.coords})"
+
+
+class _Kernel:
+    """The integer tables of one deck group, built on first use.
+
+    With B = B_int / D the lattice basis and A_c = A_int / a_c the matrix
+    of coset c, the map m -> A_c B^T m is K_c m / den: one integer matrix
+    K_c per coset over one denominator ``den``, which the translations
+    b_c share too (``shifts``). The word tables behind `DeckWord` are
+    built on the first normal form.
+    """
+
+    def __init__(self, deck: "DeckGroup"):
+        basis, d = deck.lattice.int_basis
+        self.lattice = deck.lattice
+        self.reps = deck.coset_reps
+        mats = []
+        for rep in self.reps:
+            a_den = lcm(*(x.denominator for row in rep.orthogonal for x in row))
+            a_int = [_ints(row, a_den) for row in rep.orthogonal]
+            mats.append(([[sum(map(mul, ar, br)) for br in basis] for ar in a_int], a_den * d))
+        self.den = lcm(*(den for _, den in mats),
+                       *(x.denominator for rep in self.reps for x in rep.translation))
+        self.kmats = [[[x * (self.den // den) for x in row] for row in k] for k, den in mats]
+        self.shifts = [_ints(rep.translation, self.den) for rep in self.reps]
+
+    def affine(self, offsets: Sequence[Sequence[Fraction]]):
+        """(G, [(P_c, K_c)]) with offsets[c] + A_c B^T m = (P_c + K_c m) / G
+        for every coset c, over one common denominator G."""
+        g = lcm(self.den, *(x.denominator for off in offsets for x in off))
+        f = g // self.den
+        return g, [
+            (_ints(off, g), [[x * f for x in row] for row in k]) for off, k in zip(offsets, self.kmats)
+        ]
+
+    def isometry(self, word: DeckWord) -> Isometry:
+        c = word.coset
+        t = map(add, self.shifts[c], _mat_ints(self.kmats[c], word.coords))
+        return Isometry(self.reps[c].orthogonal, tuple(Fraction(x, self.den) for x in t))
+
+    @cached_property
+    def solvers(self) -> List[Tuple[List[List[int]], int]]:
+        """Per coset, (R, r) with R / r = Gram^-1 B A_c^T: the coordinates
+        of A_c^T u for a vector u of the lattice."""
+        out = []
+        project = mat_mul(self.lattice.gram_inverse, self.lattice.basis)
+        for rep in self.reps:
+            rows = mat_mul(project, mat_transpose(rep.orthogonal))
+            r = lcm(*(x.denominator for row in rows for x in row))
+            out.append(([list(_ints(row, r)) for row in rows], r))
+        return out
+
+    def normal_form(self, g: Isometry) -> Optional[DeckWord]:
+        """g as a `DeckWord`, or None when g is not in the deck group."""
+        for c, rep in enumerate(self.reps):
+            if rep.orthogonal is g.orthogonal or rep.orthogonal == g.orthogonal:
+                break
+        else:
+            return None
+        t = g.translation
+        big = lcm(self.den, *(x.denominator for x in t))
+        f = big // self.den
+        # u = (t - b_c) big = A_c B^T m big must equal K_c m f
+        u = [x - s * f for x, s in zip(_ints(t, big), self.shifts[c])]
+        solve, r = self.solvers[c]
+        coords = []
+        for row in solve:
+            q, rem = divmod(sum(map(mul, row, u)), r * big)
+            if rem:
+                return None
+            coords.append(q)
+        if [x * f for x in _mat_ints(self.kmats[c], coords)] != u:
+            return None
+        return DeckWord(c, tuple(coords), self)
+
+    def _factor(self, g: Isometry) -> Tuple[int, Tuple[int, ...]]:
+        word = self.normal_form(g)
+        assert word is not None  # products and inverses of coset representatives
+        return word.coset, word.coords
+
+    @cached_property
+    def products(self) -> List[List[Tuple[int, Tuple[int, ...]]]]:
+        """products[i][j] = (k, c) with r_i r_j = r_k t_c."""
+        return [[self._factor(ri * rj) for rj in self.reps] for ri in self.reps]
+
+    @cached_property
+    def inverses(self) -> List[Tuple[int, Tuple[int, ...]]]:
+        """inverses[i] = (j, d) with r_i^-1 = r_j t_d."""
+        return [self._factor(r.inverse()) for r in self.reps]
+
+    @cached_property
+    def conj(self) -> List[Optional[List[List[int]]]]:
+        """A_c^T on lattice coordinates, an integer matrix (None for A_c = I)."""
+        basis, d = self.lattice.int_basis
+        out = []
+        for rep, (solve, r) in zip(self.reps, self.solvers):
+            # column l holds the coordinates of A_c^T b_l = A_c^T B_int[l] / D
+            out.append(None if rep.is_translation else
+                       [[sum(map(mul, row, b)) // (r * d) for b in basis] for row in solve])
+        return out
+
+    @cached_property
+    def act(self) -> List[Optional[List[List[int]]]]:
+        """A_c on lattice coordinates: A_c = A_j^T for r_c^-1 in coset j."""
+        return [self.conj[j] for j, _ in self.inverses]
+
+
 @dataclass(frozen=True)
 class DeckGroup:
     """Group of isometries split as finitely many cosets of a lattice.
@@ -367,7 +613,8 @@ class DeckGroup:
     Every element factors uniquely as ``rep * translation`` with the
     translation drawn from ``lattice``; the constructor verifies that
     the cosets really tile a group (lattice invariance, distinctness,
-    closure, and an identity coset).
+    closure, and an identity coset). The integer tables of orbit
+    enumeration and normal forms are built on first use, not here.
     """
 
     dimension: int
@@ -415,6 +662,10 @@ class DeckGroup:
                 if self.coset_index(hi * hj) is None:
                     raise InconsistentCosets("coset representatives do not close under product")
 
+    @cached_property
+    def _kernel(self) -> _Kernel:
+        return _Kernel(self)
+
     def _locate(self, g: Isometry) -> Optional[Tuple[int, Tuple[Fraction, ...]]]:
         """(i, v) with g = coset_reps[i] * translation_by(v), or None."""
         for i, h in enumerate(self.coset_reps):
@@ -438,50 +689,102 @@ class DeckGroup:
             raise InconsistentCosets("element does not belong to the deck group")
         return found
 
+    def normal_form(self, g: Isometry) -> DeckWord:
+        """g as a `DeckWord` (coset, integer lattice coordinates), computed
+        in integers; the word's ``isometry()`` gives g back."""
+        word = self._kernel.normal_form(g)
+        if word is None:
+            raise InconsistentCosets("element does not belong to the deck group")
+        return word
+
     @property
     def index_over_lattice(self) -> int:
         return len(self.coset_reps)
 
-    def generated(self) -> GeneratedGroup:
+    def _generators(self) -> List[Isometry]:
         gens: List[Isometry] = list(self.word_generators)
         if not gens:
             gens = [Isometry.translation_by(b) for b in self.lattice.basis]
             ident = Isometry.identity(self.dimension)
             gens += [h for h in self.coset_reps if h != ident]
-        return GeneratedGroup.closure(Isometry.identity(self.dimension), gens, name=self.name)
+        return gens
 
-    def _hits(self, x: Point, y: Point, near) -> List[OrbitHit]:
-        """The g = rep * t_v whose lattice vector v is in ``near(w)``, where
-        w is rep's search center for (x, y); sorted by |g(y) - x|^2.
+    def generated(self) -> GeneratedGroup:
+        return GeneratedGroup.closure(
+            Isometry.identity(self.dimension), self._generators(), name=self.name
+        )
 
-        The one loop over coset representatives times a lattice query.
-        With rep = (A, b), each hit builds the single isometry
-        g = (A, A v + b), no matrix product, and its image
-        g(y) = A y + (A v + b) with A y computed once per coset;
-        translation cosets skip A altogether.
+    def words(self) -> Optional[GeneratedGroup]:
+        """`generated` in normal form: the same generators in the same
+        order, as `DeckWord`s, so word balls hash int tuples. None when a
+        word generator lies outside the deck group."""
+        nf = self._kernel.normal_form
+        gens = [nf(g) for g in self._generators()]
+        if any(g is None for g in gens):
+            return None
+        return GeneratedGroup.closure(nf(Isometry.identity(self.dimension)), gens, name=self.name)
+
+    def word_displacements(self, x: Point) -> Tuple[int, Callable[[DeckWord], int]]:
+        """(scale, disp) with |g(x) - x|^2 = disp(g) / scale for every
+        `DeckWord` g, disp in integers."""
+        if x.dimension != self.dimension:
+            raise DimensionMismatch("isometry and point dimensions disagree")
+        den, maps = self._kernel.affine([vec_sub(tuple(rep(x)), tuple(x)) for rep in self.coset_reps])
+
+        def disp(g: DeckWord) -> int:
+            p, k = maps[g.coset]
+            return sum(v * v for v in map(add, p, _mat_ints(k, g.coords)))
+
+        return den * den, disp
+
+    def _hits(self, x: Point, y: Point, limit: Callable[[int], int]) -> List[OrbitHit]:
+        """The g = rep * t_v with |g(y) - x|^2 = q / scale and q <= limit(scale),
+        sorted by (|g(y) - x|^2, g(y), g.sort_key()).
+
+        The one loop over coset representatives times a lattice scan, in
+        integers from the kept coordinates m: with A y + b and A B^T m over
+        one common denominator G (`_Kernel.affine`), image G g(y) and
+        translation G (A v + b) are integer vectors, and each scan's q
+        rescales to one common distance scale. Hits sort on those
+        integers; only runs whose distance and image tie exactly fall back
+        to ``sort_key``. Each hit then builds one Isometry (A, A v + b) and
+        one Point, from Fractions shared within the call.
         """
         if y.dimension != self.dimension:
             raise DimensionMismatch("isometry and point dimensions disagree")
-        hits: List[OrbitHit] = []
-        for rep in self.coset_reps:
-            a, b = rep.orthogonal, rep.translation
-            points = near(search_center(rep, x, y))
-            if rep.is_translation:
-                for lp in points:
-                    t = vec_add(lp.vector, b)
-                    hits.append(OrbitHit(Isometry(a, t), Point(vec_add(y.coords, t)), lp.dist_sq))
-            else:
-                ay = mat_vec(a, y.coords)
-                for lp in points:
-                    t = vec_add(mat_vec(a, lp.vector), b)
-                    hits.append(OrbitHit(Isometry(a, t), Point(vec_add(ay, t)), lp.dist_sq))
-        hits.sort(key=lambda h: (h.dist_sq, tuple(h.image), h.element.sort_key()))
+        kern, lattice, reps = self._kernel, self.lattice, self.coset_reps
+        quads = [lattice._quadratic(search_center(rep, x, y)) for rep in reps]
+        scale = lcm(*(quad.scale for quad in quads))
+        den, maps = kern.affine([tuple(rep(y)) for rep in reps])
+        f = den // kern.den
+        records = []
+        for c, (quad, (image0, kmat)) in enumerate(zip(quads, maps)):
+            shift = [s * f for s in kern.shifts[c]]
+            rescale = scale // quad.scale
+            for q, m in lattice._enumerate(quad, limit(quad.scale)):
+                km = _mat_ints(kmat, m)
+                records.append((q * rescale, tuple(map(add, image0, km)), tuple(map(add, shift, km)), c))
+        records.sort()
+        coord, dist = _Fractions(den), _Fractions(scale)
+        hits = [
+            OrbitHit(
+                Isometry(reps[c].orthogonal, tuple(map(coord.__getitem__, t))),
+                Point(tuple(map(coord.__getitem__, image))),
+                dist[key],
+            )
+            for key, image, t, c in records
+        ]
+        start = 0
+        for i in range(1, len(records) + 1):
+            if i == len(records) or records[i][:2] != records[start][:2]:
+                if i - start > 1:
+                    hits[start:i] = sorted(hits[start:i], key=lambda h: h.element.sort_key())
+                start = i
         return hits
 
     def lifts_near(self, x: Point, y: Point, radius_sq) -> List[OrbitHit]:
         """All g with |g(y) - x|^2 <= radius_sq, sorted by distance."""
-        rho2 = frac(radius_sq)
-        return self._hits(x, y, lambda w: self.lattice.points_near(w, rho2))
+        return self._hits(x, y, _ball_limit(frac(radius_sq)))
 
     def enumerate_orbit(self, x: Point, radius_sq) -> List[OrbitHit]:
         """All g with |g(x) - x|^2 <= radius_sq, sorted by distance.
@@ -492,8 +795,7 @@ class DeckGroup:
 
     def enumerate_orbit_plus_sqrt(self, x: Point, radius, slack_sq) -> List[OrbitHit]:
         """All g with |g(x) - x| <= radius + sqrt(slack_sq), decided exactly."""
-        r, q2 = frac(radius), frac(slack_sq)
-        return self._hits(x, x, lambda w: self.lattice.points_near_plus_sqrt(w, r, q2))
+        return self._hits(x, x, _plus_sqrt_limit(frac(radius), frac(slack_sq)))
 
     def quotient_dist_sq(self, x: Point, y: Point) -> Fraction:
         """Squared distance between the classes of x and y in the quotient."""

@@ -12,11 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import log
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from operator import mul, sub as sub_
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import algebra
 from .errors import InconsistentCosets, InsufficientSamples
 from .euclid import Isometry, Point, frac, leq_radius_plus_sqrt
-from .groups import DeckGroup, GeneratedGroup, word_ball, word_ball_counts
+from .groups import DeckGroup, DeckWord, GeneratedGroup, word_ball, word_ball_counts
 
 
 def fit_power_law(radii: Sequence[float], counts: Sequence[float]) -> Tuple[float, float]:
@@ -66,8 +68,12 @@ class GrowthSeries:
 
 
 def _image_dists(hits) -> List[Fraction]:
-    """Sorted squared distances of the distinct orbit points among hits."""
-    return sorted({tuple(h.image): h.dist_sq for h in hits}.values())
+    """Sorted squared distances of the distinct orbit points among hits.
+
+    The hits come sorted by (distance, image), as `DeckGroup` returns them,
+    so repeated images are adjacent and their distances already sorted.
+    """
+    return [h.dist_sq for i, h in enumerate(hits) if not i or h.image != hits[i - 1].image]
 
 
 def image_counts(hits, radii_sq: Sequence) -> List[int]:
@@ -142,12 +148,18 @@ class MilnorReport:
 def milnor_check(
     deck: DeckGroup, x: Point, radii: Sequence[int], cap: Optional[int] = None
 ) -> MilnorReport:
-    group = deck.generated()
-    h_sq = Fraction(0)
-    for g in group.generators:
-        h_sq = max(h_sq, g.displacement_sq(x))
-    if h_sq == 0:
+    # the word ball runs on normal forms (int tuples), with displacements
+    # in integers, unless a word generator lies outside the deck
+    group = deck.words()
+    if group is not None:
+        scale, disp = deck.word_displacements(x)
+    else:
+        group, scale = deck.generated(), 1
+        disp = lambda g: g.displacement_sq(x)  # noqa: E731
+    h_int = max((disp(g) for g in group.generators), default=0)
+    if h_int == 0:
         raise ValueError("every generator fixes the base point; no displacement bound")
+    h_sq = Fraction(h_int, scale)
     rs = sorted(int(r) for r in radii)
     lengths = word_ball(group, rs[-1], cap=cap)
 
@@ -155,7 +167,7 @@ def milnor_check(
     word_cum = [0] * (rs[-1] + 1)
     for g, depth in lengths.items():
         word_cum[depth] += 1
-        if g.displacement_sq(x) > h_sq * depth * depth:
+        if disp(g) > h_int * depth * depth:
             pointwise.append((depth, str(g.to_obj())))
     for i in range(1, len(word_cum)):
         word_cum[i] += word_cum[i - 1]
@@ -217,15 +229,44 @@ def subgroup_index(whole: DeckGroup, sub: DeckGroup) -> int:
         if coords is None:
             raise ValueError("subgroup lattice must sit inside the ambient lattice")
         coord_rows.append(list(coords))
-    from .algebra import int_determinant
-
-    lattice_index = abs(int_determinant(coord_rows)) if coord_rows else 1
+    lattice_index = abs(algebra.int_determinant(coord_rows)) if coord_rows else 1
     if lattice_index == 0:
         raise ValueError("subgroup lattice is degenerate inside the ambient lattice")
     num = lattice_index * whole.index_over_lattice
     if num % sub.index_over_lattice:
         raise InconsistentCosets("coset counts are incompatible with the lattice index")
     return num // sub.index_over_lattice
+
+
+def _membership(whole: DeckGroup, sub: DeckGroup) -> Callable[[DeckWord], bool]:
+    """Membership in ``sub`` for elements of ``whole`` in normal form.
+
+    sub is the union of rep_j * t(L') over its representatives, so (c, m)
+    lies in sub iff some rep_j = (c, n_j) in whole's normal form has
+    m - n_j in L'. With S the coordinates of L''s basis in whole's lattice
+    (rows), that is (m - n_j) adj(S) = 0 mod det S.
+    """
+    reps = [whole.normal_form(r) for r in sub.coset_reps]
+    rows = [whole.lattice.coordinates(b) for b in sub.lattice.basis]
+    det = algebra.int_determinant(rows)
+    k = len(rows)
+
+    def cofactor(i: int, j: int) -> int:
+        minor = [[v for c, v in enumerate(row) if c != j] for r, row in enumerate(rows) if r != i]
+        return (-1) ** (i + j) * algebra.int_determinant(minor)
+
+    # column l of adj(S): adj(S)[i][l] is the (l, i) cofactor
+    adj_cols = [[cofactor(l, i) for i in range(k)] for l in range(k)]
+
+    def inside(g: DeckWord) -> bool:
+        for r in reps:
+            if r.coset == g.coset:
+                diff = tuple(map(sub_, g.coords, r.coords))
+                if all(sum(map(mul, diff, col)) % det == 0 for col in adj_cols):
+                    return True
+        return False
+
+    return inside
 
 
 def coset_transversal(whole: DeckGroup, sub: DeckGroup, index: int) -> List[Isometry]:
@@ -275,8 +316,11 @@ def finite_index_comparison(
     # factorization sanity on the largest whole-group ball: each element
     # must land in exactly one right coset of the subgroup
     whole_hits = whole.enumerate_orbit(x, rs[-1] * rs[-1])
+    inside = _membership(whole, sub)
+    k_inverses = [whole.normal_form(k.inverse()) for k in transversal]
     for hit in whole_hits:
-        matches = sum(1 for k in transversal if (hit.element * k.inverse()) in sub)
+        g = whole.normal_form(hit.element)
+        matches = sum(1 for k in k_inverses if inside(g * k))
         if matches != 1:
             raise InconsistentCosets(
                 f"element matched {matches} transversal cosets instead of one"

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -316,6 +317,16 @@ def test_cap_exceeded_exits_3(capsys):
     assert code == 3
     assert json.loads(out)["error"] == "CapExceeded"
     assert "CapExceeded" in err
+
+
+def test_huge_lattice_scan_exits_3_at_once(capsys):
+    # a 4 * 10^10-point scan: the cap must refuse it before scanning
+    start = time.perf_counter()
+    code, out, err = run(capsys, "orbit-count", "--space", "torus2", "--radii", "100000")
+    assert time.perf_counter() - start < 10
+    assert code == 3
+    assert json.loads(out)["error"] == "CapExceeded"
+    assert "exceeds the cap 10000000" in err
 
 
 def test_unreachable_tolerance_exits_3(capsys):

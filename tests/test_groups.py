@@ -306,3 +306,17 @@ def test_builtin_generated_from_deck():
     counts = word_ball_counts(g, 3)
     assert counts[0] == 1
     assert all(a < b for a, b in zip(counts, counts[1:]))
+
+
+def test_finite_deck_group_hits_are_group_elements():
+    """A rank-0 lattice: the point group of the square alone. Each hit is
+    one of the eight coset representatives, mapping x to its image."""
+    mats = [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, 1], [-1, 0]],
+            [[1, 0], [0, -1]], [[-1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1], [-1, 0]]]
+    deck = DeckGroup(2, TranslationLattice([]), [Isometry(m, (0, 0)) for m in mats])
+    x = Point.of(Fraction(1, 3), Fraction(1, 5))
+    hits = deck.enumerate_orbit(x, 10)
+    assert sorted(h.element.sort_key() for h in hits) == sorted(r.sort_key() for r in deck.coset_reps)
+    assert all(h.element(x) == h.image for h in hits)
+    assert len({tuple(h.image) for h in hits}) == 8
+    assert deck.quotient_dist_sq(x, Point.of(Fraction(-1, 5), Fraction(1, 3))) == 0

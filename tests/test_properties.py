@@ -7,9 +7,12 @@ against sympy on random matrices. Random words in each bundled deck's
 generators check that products keep exactly orthogonal parts without
 re-validation, and that input matrices are still checked where they
 enter. Orbit-ball counts and nearest lifts are checked against a plain
-scan of a box of lattice coordinates, the orbit hits against the
-composed rep * t_v construction, and ray scales against the first deck
-element of a box scan that cuts the ray. The warped grid solver, which
+scan of a box of lattice coordinates, the integer lattice scan against
+a Fraction scan of a coordinate box (deck lattices and random skewed
+ones), the orbit hits against the composed rep * t_v construction over
+that Fraction scan, normal-form products, inverses, word balls and
+subgroup membership against the same on isometries, and ray scales
+against the first deck element of a box scan that cuts the ray. The warped grid solver, which
 floods only the r >= 0 half of a symmetric grid, is checked bit for bit
 against a plain Dijkstra over the whole grid.
 """
@@ -20,7 +23,9 @@ import io
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -36,6 +41,7 @@ from orbitlab.euclid import (
     Isometry,
     Point,
     is_orthogonal,
+    leq_radius_plus_sqrt,
     mat_inverse,
     mat_vec,
     mat_rank,
@@ -43,9 +49,14 @@ from orbitlab.euclid import (
     vec_dot,
     vec_sub,
 )
+from orbitlab.errors import CapExceeded, InconsistentCosets
 from orbitlab.flatgeo import _kernel_basis, nearest_lifts
 from orbitlab.groups import DECK_GROUP_NAMES, builtin_deck_group
-from orbitlab.orbit import ball_counts
+from orbitlab.orbit import _membership, ball_counts, translation_subgroup
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import decks  # noqa: E402
+from decks import CUSTOM_DECKS  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -231,31 +242,61 @@ def test_nearest_lifts_match_a_box_scan(name, data):
     assert nearest_lifts(deck, center, target) == (best, [Point(p) for p in minimisers])
 
 
+def _box_lattice_points(lattice, w, reach, keep):
+    """(coords, vector, |v - w|^2) of every lattice vector v with
+    keep(|v - w|^2), sorted by (distance, coords), from a plain Fraction
+    scan of a box of coordinates: every v within ``reach`` of w has
+    |m_j - a_j| <= reach * sqrt(Gram^-1_jj), a the coordinates of w's
+    projection onto the span."""
+    w = tuple(Fraction(x) for x in w)
+    ginv = lattice.gram_inverse
+    a = mat_vec(ginv, tuple(vec_dot(b, w) for b in lattice.basis))
+    ranges = []
+    for j, aj in enumerate(a):
+        half = reach * math.sqrt(float(ginv[j][j])) + 1
+        ranges.append(range(math.floor(aj - half), math.ceil(aj + half) + 1))
+    out = []
+    for m in itertools.product(*ranges):
+        v = lattice.vector(m) if m else tuple(Fraction(0) for _ in w)
+        d = vec_sub(v, w)
+        d2 = vec_dot(d, d)
+        if keep(d2):
+            out.append((m, v, d2))
+    return sorted(out, key=lambda p: (p[2], p[0]))
+
+
 def _old_hits(deck, x, y, near):
     """`DeckGroup._hits` as it was first written: every hit composes
     rep * t_v from two isometries and applies the product to y."""
     hits = []
     for rep in deck.coset_reps:
-        for lp in near(groups.search_center(rep, x, y)):
-            g = rep * Isometry.translation_by(lp.vector)
-            hits.append((g, g(y), lp.dist_sq))
+        for _, v, d2 in near(groups.search_center(rep, x, y)):
+            g = rep * Isometry.translation_by(v)
+            hits.append((g, g(y), d2))
     hits.sort(key=lambda h: (h[2], tuple(h[1]), h[0].sort_key()))
     return hits
 
 
-@pytest.mark.parametrize("name", ORBIT_DECKS)
+KERNEL_DECKS = ORBIT_DECKS + tuple(CUSTOM_DECKS)
+
+
+@pytest.mark.parametrize("name", KERNEL_DECKS)
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_hits_match_the_composed_construction(name, data):
-    deck = cli._deck(name)
+    deck = decks.deck(name)
     x = data.draw(points_in(deck.dimension))
     y = data.draw(points_in(deck.dimension))
     rho2 = data.draw(st.fractions(min_value=0, max_value=10, max_denominator=9))
     radius = data.draw(st.fractions(min_value=0, max_value=2, max_denominator=9))
     slack = data.draw(st.fractions(min_value=0, max_value=4, max_denominator=9))
-    nears = (
-        lambda w: deck.lattice.points_near(w, rho2),
-        lambda w: deck.lattice.points_near_plus_sqrt(w, radius, slack),
+    lattice = deck.lattice
+    queries = (
+        (groups._ball_limit(rho2),
+         lambda w: _box_lattice_points(lattice, w, math.sqrt(rho2), lambda d2: d2 <= rho2)),
+        (groups._plus_sqrt_limit(radius, slack),
+         lambda w: _box_lattice_points(lattice, w, float(radius) + math.sqrt(slack),
+                                       lambda d2: leq_radius_plus_sqrt(d2, radius, slack))),
     )
     built = []
     init = Isometry.__init__
@@ -264,15 +305,132 @@ def test_hits_match_the_composed_construction(name, data):
         built.append(1)
         init(self, *args)
 
-    for near in nears:
+    for limit, near in queries:
         want = _old_hits(deck, x, y, near)
         with mock.patch.object(Isometry, "__init__", counted):
-            got = deck._hits(x, y, near)
+            got = deck._hits(x, y, limit)
         assert [tuple(h) for h in got] == want
         for (g, _, _), (h, _, _) in zip(got, want):
             assert type(g.orthogonal) is type(h.orthogonal)
         assert len(built) == len(got)  # one isometry per hit
         built.clear()
+
+
+# ---------------------------------------------------------------------------
+# the integer lattice scan against a Fraction box scan
+
+SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def lattices(draw):
+    """A deck's lattice, or a random skewed one of rank 1-3 in dimension
+    rank-3 with small rational entries."""
+    if draw(st.booleans()):
+        return decks.deck(draw(st.sampled_from(KERNEL_DECKS))).lattice
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, n))
+    rows = [[draw(SMALL) for _ in range(n)] for _ in range(k)]
+    assume(mat_rank(rows) == k)
+    return groups.TranslationLattice(rows)
+
+
+@given(lattices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_scan_matches_a_fraction_box_scan(lattice, data):
+    w = tuple(data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=7))
+              for _ in range(lattice.dimension))
+    rho2 = data.draw(st.fractions(min_value=0, max_value=9, max_denominator=9))
+    r = data.draw(st.fractions(min_value=0, max_value=2, max_denominator=5))
+    q2 = data.draw(st.fractions(min_value=0, max_value=3, max_denominator=5))
+    got = [tuple(p) for p in lattice.points_near(w, rho2)]
+    assert got == _box_lattice_points(lattice, w, math.sqrt(rho2), lambda d2: d2 <= rho2)
+    got = [tuple(p) for p in lattice.points_near_plus_sqrt(w, r, q2)]
+    assert got == _box_lattice_points(lattice, w, float(r) + math.sqrt(q2),
+                                      lambda d2: leq_radius_plus_sqrt(d2, r, q2))
+    # the rounded projection bounds the nearest distance
+    ginv = lattice.gram_inverse
+    a = mat_vec(ginv, tuple(vec_dot(b, w) for b in lattice.basis))
+    d = vec_sub(lattice.vector([round(x) for x in a]), w)
+    near = _box_lattice_points(lattice, w, math.sqrt(vec_dot(d, d)), lambda d2: True)
+    assert lattice.nearest_dist_sq(w) == near[0][2]
+
+
+def test_scan_checks_the_cap_before_it_starts(monkeypatch):
+    lattice = groups.TranslationLattice([(1, 0), (0, 1)])
+    scanned = []
+    enumerate_ = groups.TranslationLattice._enumerate
+    monkeypatch.setattr(groups.TranslationLattice, "_enumerate",
+                        lambda self, *a: scanned.append(1) or enumerate_(self, *a))
+    monkeypatch.setattr(groups, "enumeration_cap", lambda: 50)
+    assert len(lattice.points_near((0, 0), 9)) == 29  # a 7 x 7 box fits under 50
+    with pytest.raises(CapExceeded) as err:
+        lattice.points_near((0, 0), 16)  # 9 x 9 = 81 candidates
+    assert err.value.limit == 50
+    with pytest.raises(CapExceeded):
+        decks.deck("klein2").enumerate_orbit(Point((0, 0)), 100)
+    # the nearest-plane bound keeps a far target's scan small
+    assert lattice.nearest_dist_sq((10 ** 6 + Fraction(1, 2), 0)) == Fraction(1, 4)
+    assert len(scanned) == 4
+
+
+# ---------------------------------------------------------------------------
+# normal forms against isometries
+
+def _random_word(data, deck):
+    gens = deck.generated().generators
+    g = deck.generated().identity
+    for i in data.draw(st.lists(st.sampled_from(range(len(gens))), max_size=10)):
+        g = g * gens[i]
+    return g
+
+
+@pytest.mark.parametrize("name", KERNEL_DECKS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_normal_forms_multiply_and_invert_like_isometries(name, data):
+    deck = decks.deck(name)
+    g, h = _random_word(data, deck), _random_word(data, deck)
+    nf = deck.normal_form
+    for e in (g, h):
+        i, v = deck.factor(e)
+        assert (nf(e).coset, nf(e).coords) == (i, deck.lattice.coordinates(v))
+        assert nf(e).isometry() == e and nf(e).to_obj() == e.to_obj()
+    assert nf(g) * nf(h) == nf(g * h)
+    assert nf(g).inverse() == nf(g.inverse())
+    assert hash(nf(g) * nf(h)) == hash(nf(g * h))
+    outsider = Isometry.translation_by([b / 2 for b in deck.lattice.basis[0]])
+    with pytest.raises(InconsistentCosets):
+        nf(outsider)
+
+
+@pytest.mark.parametrize("name", KERNEL_DECKS)
+def test_word_balls_in_normal_form_match_isometry_word_balls(name):
+    deck = decks.deck(name)
+    assert [w.isometry() for w in deck.words().generators] == list(deck.generated().generators)
+    radius = 2 if name == "p4m" else 4
+    plain = groups.word_ball(deck.generated(), radius)
+    words = groups.word_ball(deck.words(), radius)
+    # the same elements, found in the same order
+    assert [(w.isometry(), d) for w, d in words.items()] == list(plain.items())
+    x = Point(tuple(Fraction(k + 1, 7) for k in range(deck.dimension)))
+    scale, disp = deck.word_displacements(x)
+    assert all(Fraction(disp(w), scale) == w.isometry().displacement_sq(x) for w in words)
+
+
+MEMBERSHIP_PAIRS = [(name, None) for name in KERNEL_DECKS] + [
+    (whole, sub) for sub, (whole, _) in decks.SUBGROUPS.items()]
+
+
+@pytest.mark.parametrize("whole_name,sub_name", MEMBERSHIP_PAIRS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_subgroup_membership_in_normal_form(whole_name, sub_name, data):
+    whole = decks.deck(whole_name)
+    sub = translation_subgroup(whole) if sub_name is None else decks.SUBGROUPS[sub_name][1]()
+    inside = _membership(whole, sub)
+    g = _random_word(data, whole)
+    assert inside(whole.normal_form(g)) == (g in sub)
 
 
 def test_verify_dual_enumerates_once(monkeypatch):
