@@ -1047,6 +1047,10 @@ def _grid_pair(text: str) -> Tuple[float, float]:
 
 
 SPACE_HELP = "one of " + ", ".join(SPACE_CHOICES) + " (Z^k also accepted)"
+GRID_HELP = (
+    "base resolution 'dr,ds'; a floor, since a radial window wider than 400 rows of dr "
+    "is solved on 400 coarser rows"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1110,7 +1114,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--word-variant", action="store_true", help="add word-count upper-bound rows")
     sc.add_argument("--tol", type=float, default=warped.DEFAULT_TOL)
     sc.add_argument("--square-warp", action="store_true")
-    sc.add_argument("--grid", type=_grid_pair, default=None, help="warped base resolution 'dr,ds'")
+    sc.add_argument("--grid", type=_grid_pair, default=None, help="warped " + GRID_HELP)
     sc.set_defaults(func=_cmd_verify_dual)
 
     sc = sub.add_parser("thin-set", parents=[common], help="volume of the ball near the core")
@@ -1163,7 +1167,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--radii", default="8,64")
     sc.add_argument("--tol", type=float, default=warped.DEFAULT_TOL)
     sc.add_argument("--square-warp", action="store_true")
-    sc.add_argument("--grid", type=_grid_pair, default=None, help="base resolution 'dr,ds'")
+    sc.add_argument("--grid", type=_grid_pair, default=None, help=GRID_HELP)
     sc.set_defaults(func=_cmd_warped_ratio)
 
     sc = sub.add_parser("warped-distance", parents=[common], help="certified distances on the warped surface")
@@ -1176,7 +1180,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sc.add_argument("--tol", type=float, default=warped.DEFAULT_TOL)
     sc.add_argument("--square-warp", action="store_true")
-    sc.add_argument("--grid", type=_grid_pair, default=None, help="base resolution 'dr,ds'")
+    sc.add_argument("--grid", type=_grid_pair, default=None, help=GRID_HELP)
     sc.set_defaults(func=_cmd_warped_distance)
 
     sc = sub.add_parser("paper-suite", parents=[common], help="run the bundled verification stages")

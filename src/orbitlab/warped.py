@@ -17,19 +17,28 @@ number is certified by recomputing at half the grid spacing; a relative
 gap above the tolerance raises ConvergenceError instead of returning a
 value.
 
-Each certified value costs one flood per grid spacing. The metric is
+Each certified value costs one flood per grid spacing. The grid graph
+is built directly in CSR form, one stored entry per edge. The metric is
 even in r, so a grid symmetric about r = 0 with its source on r = 0
 (every deck-distance and ball grid) is flooded on its r >= 0 rows only
 and mirrored, bit-identical to the full solve. Deck-distance windows are
-sized from the climb-and-wrap path bound above, so the first flood
-already clears the window boundary; a doubling loop stays as a guard.
+sized from the climb-and-wrap path bound above. A path from r = 0 back
+to r = 0 turns before half its length, so only the rows up to about
+half the window (plus 2) are flooded; once every target lies below the
+window's half-width less one row, no path through the unflooded rows
+can be shorter, and the cut flood equals the full one bit for bit. The
+first flood passes that check; a doubling loop stays as a guard.
+
+Every grid caps its radial window at 400 rows: the row step is
+max(base dr, 2 * half-width / 400), so a requested dr is a floor, and
+windows wider than 200 base rows are solved on coarser rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -79,6 +88,49 @@ def metric_factor(r, square: bool = False) -> np.ndarray:
     return out * out if square else out
 
 
+def _grid_graph(
+    nrow: int, ncol: int, dr: float, horiz_w: np.ndarray, diag_w: np.ndarray, periodic: bool
+) -> csr_matrix:
+    """The 8-neighbor grid as a CSR matrix, one stored entry per edge.
+
+    Node (i, j) stores its edges to (i, j+1), (i+1, j-1), (i+1, j) and
+    (i+1, j+1), weighted by row i; ``dijkstra(..., directed=False)``
+    supplies the other direction. Every row but the last has the same
+    column pattern, so ``indptr``, ``indices`` and ``data`` are filled by
+    broadcasting, with no COO stage. On a cylinder of at most 2 columns
+    every wrapped edge duplicates a stored one (on 1 column a wrapped
+    diagonal duplicates the shorter vertical edge, and the horizontal one
+    is a self-loop), so wrapped edges are kept only from 3 columns up.
+    """
+    tcol = np.arange(ncol)[:, None] + np.array([1, -1, 0, 1])
+    ok = (tcol >= 0) & (tcol < ncol)
+    if periodic:
+        ok |= ncol > 2
+        tcol %= ncol
+    cols, slots = np.nonzero(ok)
+    offsets = (slots > 0) * ncol + tcol[cols, slots]
+    horizontal = slots == 0
+    # the last row keeps only its horizontal edges
+    counts = np.concatenate([
+        np.tile(np.bincount(cols, minlength=ncol), nrow - 1),
+        np.bincount(cols[horizontal], minlength=ncol),
+    ])
+    indptr = np.zeros(nrow * ncol + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    row_start = np.arange(nrow, dtype=np.int32) * ncol
+    indices = np.concatenate([
+        (row_start[:-1, None] + offsets).ravel(),
+        row_start[-1] + offsets[horizontal],
+    ]).astype(np.int32, copy=False)
+    # weight columns: horizontal, diagonal, vertical; slots 1 and 3 are diagonal
+    row_w = np.column_stack([horiz_w[:-1], diag_w, np.full(nrow - 1, dr)])
+    data = np.concatenate([
+        row_w[:, np.array([0, 1, 2, 1])[slots]].ravel(),
+        np.full(int(horizontal.sum()), horiz_w[-1]),
+    ])
+    return csr_matrix((data, indices, indptr), shape=(nrow * ncol, nrow * ncol))
+
+
 def _solve_grid(
     r_vals: np.ndarray,
     s_vals: np.ndarray,
@@ -86,6 +138,7 @@ def _solve_grid(
     periodic: bool,
     square: bool,
     source: Tuple[int, int],
+    reach: Optional[int] = None,
 ) -> np.ndarray:
     """Distances from ``source`` on the 8-neighbor metric graph.
 
@@ -103,63 +156,38 @@ def _solve_grid(
     The metric is even in r, so row -i carries row i's edges weight for
     weight, and any path through r < 0 folds onto one of the same float
     length; the mirrored rows equal a full-grid solve bit for bit.
+
+    With ``reach`` only the rows within ``reach`` of the centre row are
+    flooded and returned; the caller must know that no shortest path it
+    reads leaves them. The cap and the row step ``dr`` still come from
+    the full grid. The graph is built directly in CSR form
+    (``_grid_graph``).
     """
     nrow = len(r_vals)
     ncol = len(s_vals)
     if nrow * ncol > NODE_CAP:
         raise CapExceeded(f"grid would hold {nrow * ncol} nodes", limit=NODE_CAP)
     # taken from the full array: for steps that are not a power of two
-    # r_vals[1] - r_vals[0] need not equal the step of the upper half
+    # the first difference of a slice need not equal r_vals[1] - r_vals[0]
     dr = float(r_vals[1] - r_vals[0])
     centre = nrow // 2
+    if reach is not None and reach < centre:
+        lo = centre - reach
+        r_vals = r_vals[lo : nrow - lo]
+        source = (source[0] - lo, source[1])
+        nrow = len(r_vals)
+        centre = reach
     mirror = nrow % 2 == 1 and source[0] == centre and np.array_equal(r_vals[::-1], -r_vals)
     if mirror:
         r_vals = r_vals[centre:]
         source = (0, source[1])
         nrow = len(r_vals)
-    ids = np.arange(nrow * ncol, dtype=np.int64).reshape(nrow, ncol)
     row_factor = metric_factor(r_vals, square)
     mid_factor = metric_factor(0.5 * (r_vals[:-1] + r_vals[1:]), square)
     horiz_w = np.sqrt(row_factor) * ds
     diag_w = np.sqrt(dr * dr + mid_factor * ds * ds)
-
-    # one entry per unordered neighbor pair, weight indexed by the lower row
-    stencil = [
-        (1, 0, np.full(nrow - 1, dr)),
-        (0, 1, horiz_w),
-        (1, 1, diag_w),
-        (1, -1, diag_w),
-    ]
-    heads: List[np.ndarray] = []
-    tails: List[np.ndarray] = []
-    weights: List[np.ndarray] = []
-    for di, dj, w in stencil:
-        imax = nrow - di if di else nrow
-        if imax <= 0 or w.shape[0] < imax:
-            continue
-        if periodic:
-            # narrow cylinders would alias the +dj and -dj twins onto the
-            # same edges, silently doubling weights in the sparse sum
-            if ncol <= 2 * abs(dj):
-                continue
-            cols = np.arange(ncol)
-            tcols = (cols + dj) % ncol
-        else:
-            cols = np.arange(max(0, -dj), min(ncol, ncol - dj))
-            if cols.size == 0:
-                continue
-            tcols = cols + dj
-        rows = np.arange(imax)
-        heads.append(ids[np.ix_(rows, cols)].ravel())
-        tails.append(ids[np.ix_(rows + di, tcols)].ravel())
-        weights.append(np.repeat(w[:imax], cols.size))
-
-    graph = csr_matrix(
-        (np.concatenate(weights), (np.concatenate(heads), np.concatenate(tails))),
-        shape=(nrow * ncol, nrow * ncol),
-    )
-    src = ids[source[0], source[1]]
-    dist = dijkstra(graph, directed=False, indices=src).reshape(nrow, ncol)
+    graph = _grid_graph(nrow, ncol, dr, horiz_w, diag_w, periodic)
+    dist = dijkstra(graph, directed=False, indices=source[0] * ncol + source[1]).reshape(nrow, ncol)
     return np.concatenate([dist[:0:-1], dist]) if mirror else dist
 
 
@@ -213,14 +241,23 @@ def _deck_distance_grid(k_max: int, scale: float, square: bool, base: Tuple[floa
 
     The s-spacing divides 2*pi exactly, so every target sits on a grid
     node; only genuine discretization error enters the certification.
-    The result stands only if the window boundary lies farther than the
-    last target. Every boundary node is at least the half-width away, so
-    the half-width starts at the length of the shorter of two paths to
-    the k_max-th translate, plus a margin of 8 for grid error: the loop
-    through the core (2*pi*k) and the climb-and-wrap path at its best
-    height (4*sqrt(pi*k), or 3*(2*pi*k)^(1/3) for the squared warp). The
-    first flood then passes. The doubling loop stays as a guard: a flood
-    that fails the check is redone on a window twice as wide.
+    The radial half-width r_win starts at the length of the shorter of
+    two paths to the k_max-th translate, plus a margin of 8 for grid
+    error: the loop through the core (2*pi*k) and the climb-and-wrap
+    path at its best height (4*sqrt(pi*k), or 3*(2*pi*k)^(1/3) for the
+    squared warp). It fixes the row step dr (through the 400-row cap)
+    and the window's half row count, half.
+
+    Only the rows |i| <= reach = min(half, ceil(r_win / (2 dr)) + 2) are
+    flooded. When reach < half, a path from r = 0 out of those rows and
+    back crosses at least 2 (reach + 1) rows, each for at least dr, so it
+    is at least r_win + 6 dr long. So once every target is below
+    (half - 1) dr < r_win, no path that leaves the flooded rows can be
+    shorter, and since Dijkstra's float distances are minima over paths
+    of their float sums, the targets equal a flood of the whole window
+    bit for bit. The check also implies the window boundary (at least
+    half * dr away) lies beyond every target. It passes on the first
+    flood; a flood that fails it is redone on a window twice as wide.
     """
     base_dr, base_ds = base
     climb = 3.0 * (CIRCUMFERENCE * k_max) ** (1.0 / 3.0) if square else 4.0 * math.sqrt(math.pi * k_max)
@@ -228,6 +265,7 @@ def _deck_distance_grid(k_max: int, scale: float, square: bool, base: Tuple[floa
     for attempt in range(4):
         dr = max(base_dr, 2.0 * r_win / 400.0) * scale
         half = int(math.ceil(r_win / dr))
+        reach = min(half, int(math.ceil(r_win / (2.0 * dr))) + 2)
         r_vals = np.arange(-half, half + 1) * dr
         ds_target = base_ds * max(1.0, k_max / 10.0) * scale
         m = max(3, int(round(CIRCUMFERENCE / ds_target)))
@@ -235,10 +273,11 @@ def _deck_distance_grid(k_max: int, scale: float, square: bool, base: Tuple[floa
         pad = int(math.ceil(5.0 / ds))
         ncol = k_max * m + 2 * pad + 1
         s_vals = (np.arange(ncol) - pad) * ds
-        dist = _solve_grid(r_vals, s_vals, ds, periodic=False, square=square, source=(half, pad))
-        targets = dist[half, pad + m * np.arange(k_max + 1)]
-        boundary = min(dist[0, :].min(), dist[-1, :].min())
-        if boundary > targets[-1]:
+        dist = _solve_grid(
+            r_vals, s_vals, ds, periodic=False, square=square, source=(half, pad), reach=reach
+        )
+        targets = dist[reach, pad + m * np.arange(k_max + 1)]
+        if targets.max() < (half - 1) * dr:
             return targets
         r_win *= 2.0
     raise TruncationError("deck distance window kept touching its own boundary")
@@ -253,7 +292,15 @@ def deck_distances(
     """Certified distances from the base point to its first k_max translates.
 
     ``spacing`` optionally overrides the base (dr, ds) resolution; the
-    certification always compares it against its halving.
+    certification always compares it against its halving. Both are
+    floors, not exact steps. The radial window holds at most 400 rows, so
+    once its half-width passes 200 * dr the rows are coarsened to
+    half-width / 200 (at dr = 0.125, every window above 25, i.e. k_max >=
+    6 for the plain warp). The s-step is coarsened with the table length,
+    to ds * max(1, k_max / 10) with at least 3 columns per loop; that,
+    not the row cap, is what pushes the halving gap of long tables over
+    the tolerance at the default spacing (2.07% at k_max = 169, which
+    ``verify_dual`` asks for at r = 40, and 2.41% at k_max = 150).
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -291,7 +338,13 @@ def ball_volume(
     square: bool = False,
     spacing=None,
 ) -> CertifiedValue:
-    """Certified Riemannian volume of the metric ball around (0, 0)."""
+    """Certified Riemannian volume of the metric ball around (0, 0).
+
+    ``spacing`` is a floor on the base (dr, ds): balls below radius 4 are
+    refined by radius / 4, and the radial window (radius + 2 each side)
+    holds at most 400 rows, so past radius 48 at the default dr of 0.25
+    the rows are coarsened to (radius + 2) / 200.
+    """
     if radius <= 0:
         raise ValueError("radius must be positive")
     base = _base_spacing(spacing)
@@ -440,6 +493,9 @@ def point_distance(
 
     Endpoints snap to the nearest grid node, so prefer coordinates that
     are small multiples of the base spacing when exactness matters.
+    ``spacing`` is a floor on the base (dr, ds): the radial window holds
+    at most 400 rows, and on the cover at most 1,600 columns, so a wide
+    window is solved on coarser steps than requested.
     """
     base_dr, base_ds = _base_spacing(spacing)
 

@@ -13,8 +13,11 @@ ones), the orbit hits against the composed rep * t_v construction over
 that Fraction scan, normal-form products, inverses, word balls and
 subgroup membership against the same on isometries, and ray scales
 against the first deck element of a box scan that cuts the ray. The warped grid solver, which
-floods only the r >= 0 half of a symmetric grid, is checked bit for bit
-against a plain Dijkstra over the whole grid.
+floods only the r >= 0 half of a symmetric grid, or only the rows within
+a given reach of its centre, is checked bit for bit against a plain
+Dijkstra over the whole grid (cylinders of one column up), and the deck
+distances, whose flood stops at the rows a shortest path can reach,
+against a flood of their whole window.
 """
 
 import contextlib
@@ -593,11 +596,13 @@ def test_dirichlet_command_solves_one_quotient_distance(name, data):
 # the half-grid warped solve against a whole-grid Dijkstra
 
 
-def _whole_grid_distances(r_vals, ncol, ds, periodic, square, source):
+def _whole_grid_distances(r_vals, ncol, ds, periodic, square, source, dr):
     """Heap Dijkstra over every row of the 8-neighbour grid, with the edge
-    weights of ``warped._solve_grid`` written out one edge at a time."""
+    weights of ``warped._solve_grid`` written out one edge at a time. On a
+    cylinder of one or two columns the wrapped edges come out as
+    self-loops and parallel copies of stored pairs, no shorter than
+    those, so they leave the distances unchanged."""
     nrow = len(r_vals)
-    dr = float(r_vals[1] - r_vals[0])
     row_factor = warped.metric_factor(r_vals, square)
     mid_factor = warped.metric_factor(0.5 * (r_vals[:-1] + r_vals[1:]), square)
     adjacent = {(i, j): [] for i in range(nrow) for j in range(ncol)}
@@ -642,7 +647,9 @@ STEPS = st.one_of(st.sampled_from([0.125, 0.25, 0.5]), st.floats(0.05, 1.5))
 
 @given(
     half=st.integers(1, 20),
-    ncol=st.integers(3, 40),
+    # cylinders of one to three columns, where wrapped edges alias, get
+    # their own share of draws
+    ncol=st.one_of(st.integers(1, 3), st.integers(1, 40)),
     dr=STEPS,
     ds=STEPS,
     periodic=st.booleans(),
@@ -659,16 +666,58 @@ def test_half_grid_solve_matches_the_whole_grid(half, ncol, dr, ds, periodic, sq
     shift = data.draw(st.sampled_from([0.0, 0.0, 0.5 * dr]))
     r_vals = r_vals + shift
     source = (row, data.draw(st.integers(0, ncol - 1)))
-    sizes = []
+    # a centre-row source may cut the flood to the rows within ``reach``,
+    # whose edges still use the whole grid's first difference as dr
+    reach = data.draw(st.one_of(st.none(), st.integers(0, half))) if row == half else None
+    kept = half if reach is None else reach
+    graphs = []
     real = warped.dijkstra
 
     def spy(graph, *args, **kwargs):
-        sizes.append(graph.shape[0])
+        graphs.append((graph.shape[0], graph.nnz))
         return real(graph, *args, **kwargs)
 
     with mock.patch.object(warped, "dijkstra", spy):
-        got = warped._solve_grid(r_vals, np.arange(ncol) * ds, ds, periodic, square, source)
-    want = _whole_grid_distances(r_vals, ncol, ds, periodic, square, source)
+        got = warped._solve_grid(r_vals, np.arange(ncol) * ds, ds, periodic, square, source, reach=reach)
+    rows = slice(half - kept, half + kept + 1)
+    want = _whole_grid_distances(
+        r_vals[rows], ncol, ds, periodic, square, (source[0] - rows.start, source[1]),
+        dr=float(r_vals[1] - r_vals[0]),
+    )
     assert np.array_equal(got, want)
     folded = row == half and shift == 0.0
-    assert sizes == [(half + 1 if folded else nrow) * ncol]
+    flooded = kept + 1 if folded else 2 * kept + 1
+    # one stored entry per neighbour pair
+    pairs = {
+        frozenset({(i, j), (i + di, (j + dj) % ncol if periodic else j + dj)})
+        for i in range(flooded)
+        for j in range(ncol)
+        for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1))
+        if i + di < flooded and (periodic or 0 <= j + dj < ncol)
+    }
+    assert graphs == [(flooded * ncol, sum(len(pair) == 2 for pair in pairs))]
+
+
+@given(
+    k_max=st.integers(1, 150),
+    square=st.booleans(),
+    base=st.tuples(st.floats(0.1, 0.4), st.floats(0.1, 0.4)),
+    scale=st.sampled_from([1.0, 0.5]),
+)
+@settings(max_examples=12, deadline=None)
+def test_deck_distance_flood_matches_the_whole_window(k_max, square, base, scale):
+    """The deck flood, cut to the rows a shortest path can reach, against
+    a flood of its whole first window, written out here."""
+    base_dr, base_ds = base
+    climb = 3.0 * (2 * math.pi * k_max) ** (1 / 3) if square else 4.0 * math.sqrt(math.pi * k_max)
+    r_win = min(2 * math.pi * k_max, climb) + 8.0
+    dr = max(base_dr, 2.0 * r_win / 400.0) * scale
+    half = math.ceil(r_win / dr)
+    m = max(3, round(2 * math.pi / (base_ds * max(1.0, k_max / 10.0) * scale)))
+    ds = 2 * math.pi / m
+    pad = math.ceil(5.0 / ds)
+    s_vals = (np.arange(k_max * m + 2 * pad + 1) - pad) * ds
+    dist = warped._solve_grid(np.arange(-half, half + 1) * dr, s_vals, ds, False, square, (half, pad))
+    want = dist[half, pad + m * np.arange(k_max + 1)]
+    assert min(dist[0].min(), dist[-1].min()) > want.max()
+    assert np.array_equal(warped._deck_distance_grid(k_max, scale, square, base), want)

@@ -192,9 +192,10 @@ def test_verify_dual_small_radii():
 
 # Every certified warped value below was recorded once, each float as its
 # repr (or the error raised), and must replay bit for bit: solving half
-# the grid changes the work done, never a float. The deck tables are short
-# enough (k_max <= 24) that their grid spacing does not depend on how the
-# deck window is sized.
+# the grid changes the work done, never a float. The deck tables up to
+# k_max = 24 have a grid spacing that does not depend on how the deck
+# window is sized; the longer ones, and verify_dual's k_max = 109 table,
+# pin the window sized from the climb-and-wrap bound.
 GOLDEN_SPACINGS = (None, (0.3, 0.2), (0.125, 0.125))
 GOLDEN_RADII = (0.5, 1.0, 4.0, 6.0, 8.0, 16.0, 32.0, 64.0)
 
@@ -209,9 +210,21 @@ def golden_calls():
     calls.append(("falsifying_ratios", {"cs": [1.0], "radii": [4.0, 16.0]}))
     calls += [("deck_distances", {"k_max": k}) for k in (1, 2, 4, 8, 16, 24)]
     calls.append(("deck_distances", {"k_max": 4, "square": True}))
+    # deck windows past r = 25 at spacing 0.125, where the flood stops
+    # short of the window's outer rows
+    calls += [
+        ("deck_distances", {"k_max": k, "square": square, "spacing": spacing})
+        for k in (32, 64, 109)
+        for spacing in (None, (0.125, 0.125))
+        for square in (False, True)
+    ]
     calls += [
         ("point_distance", {"start": [0.0, 0.0], "end": [3.0, 0.0]}),
         ("point_distance", {"start": [0.0, 0.0], "end": [0.0, CIRCUMFERENCE]}),
+    ]
+    calls += [
+        ("verify_dual", {"radii": [8.0, 16.0, 32.0], "spacing": spacing})
+        for spacing in (None, (0.125, 0.125))
     ]
     # round-trip through JSON so recorded and replayed arguments agree
     return json.loads(json.dumps([{"call": c, "kwargs": kw} for c, kw in calls]))
@@ -267,16 +280,29 @@ def _record_solves(monkeypatch):
 
 
 def _record_grids(monkeypatch):
-    """Log (nrow, ncol) of every grid handed to ``_solve_grid``."""
+    """Log (nrow, ncol, reach) of every grid handed to ``_solve_grid``."""
     grids = []
     real = warped._solve_grid
 
     def spy(r_vals, s_vals, *args, **kwargs):
-        grids.append((len(r_vals), len(s_vals)))
+        grids.append((len(r_vals), len(s_vals), kwargs.get("reach")))
         return real(r_vals, s_vals, *args, **kwargs)
 
     monkeypatch.setattr(warped, "_solve_grid", spy)
     return grids
+
+
+def _first_window(k_max, square):
+    """The half-width r_win of the first deck-distance flood."""
+    climb = 3.0 * (CIRCUMFERENCE * k_max) ** (1 / 3) if square else 4.0 * math.sqrt(math.pi * k_max)
+    return min(CIRCUMFERENCE * k_max, climb) + 8.0
+
+
+def _deck_rows(r_win, base_dr, scale):
+    """(dr, half, reach) of a deck-distance flood over the half-width r_win."""
+    dr = max(base_dr, 2.0 * r_win / 400.0) * scale
+    half = math.ceil(r_win / dr)
+    return dr, half, min(half, math.ceil(r_win / (2.0 * dr)) + 2)
 
 
 @pytest.mark.parametrize("square", [False, True])
@@ -286,8 +312,51 @@ def test_deck_distances_floods_once_per_scale_over_half_the_rows(monkeypatch, k_
     sizes = _record_solves(monkeypatch)
     grids = _record_grids(monkeypatch)
     deck_distances(k_max, square=square, spacing=spacing)
-    assert len(sizes) == 2
-    assert sizes == [(nrow // 2 + 1) * ncol for nrow, ncol in grids]
+    base_dr = 0.25 if spacing is None else spacing[0]
+    reaches = [_deck_rows(_first_window(k_max, square), base_dr, scale)[2] for scale in (1.0, 0.5)]
+    # the flood stops at the rows a shortest path can reach, well inside
+    # the window's half
+    assert [reach for _, _, reach in grids] == reaches
+    assert all(reach < nrow // 2 for nrow, _, reach in grids)
+    assert sizes == [(reach + 1) * ncol for _, ncol, reach in grids]
+
+
+def test_a_failed_reach_check_redoes_the_flood_on_a_doubled_window(monkeypatch):
+    # the first flood reports targets beyond (half - 1) dr, so the check
+    # fails and the window doubles; the second flood is the real one
+    floods = []
+    real = warped._solve_grid
+
+    def spy(r_vals, s_vals, *args, **kwargs):
+        dist = real(r_vals, s_vals, *args, **kwargs)
+        floods.append((r_vals, kwargs["reach"], dist))
+        return dist + r_vals[-1] if len(floods) == 1 else dist
+
+    monkeypatch.setattr(warped, "_solve_grid", spy)
+    k_max, scale, base_dr = 16, 1.0, 0.25
+    got = warped._deck_distance_grid(k_max, scale, False, (base_dr, 0.25))
+    assert len(floods) == 2
+    r_win = _first_window(k_max, False)
+    dr, half, _ = _deck_rows(r_win, base_dr, scale)
+    assert floods[0][0][-1] == half * dr
+    r_vals, reach, dist = floods[1]
+    dr, half, wide_reach = _deck_rows(2.0 * r_win, base_dr, scale)
+    assert len(r_vals) == 2 * half + 1
+    assert r_vals[-1] == half * dr
+    assert reach == wide_reach
+    m = round(CIRCUMFERENCE / (0.25 * k_max / 10))
+    pad = math.ceil(5.0 / (CIRCUMFERENCE / m))
+    assert np.array_equal(got, dist[reach, pad + m * np.arange(k_max + 1)])
+
+
+def test_narrow_cylinders_keep_their_edges():
+    # on one or two columns the wrapped twins of an edge alias; one copy stays
+    r_vals = np.arange(-2, 3) * 0.25
+    two = warped._solve_grid(r_vals, np.arange(2.0), 1.0, True, False, (2, 0))
+    assert two[2].tolist() == [0.0, 1.0]
+    assert two[4, 1] == math.sqrt(0.25**2 + 1.0) + 0.25
+    one = warped._solve_grid(r_vals, np.arange(1.0), 1.0, True, False, (2, 0))
+    assert one[:, 0].tolist() == [0.5, 0.25, 0.0, 0.25, 0.5]
 
 
 @pytest.mark.parametrize("square", [False, True])
@@ -297,11 +366,11 @@ def test_ball_volume_floods_half_the_rows(monkeypatch, radius, square):
     grids = _record_grids(monkeypatch)
     ball_volume(radius, square=square)
     assert len(sizes) == 2
-    assert sizes == [(nrow // 2 + 1) * ncol for nrow, ncol in grids]
+    assert sizes == [(nrow // 2 + 1) * ncol for nrow, ncol, _ in grids]
 
 
 def test_off_centre_point_distance_floods_the_whole_grid(monkeypatch):
     sizes = _record_solves(monkeypatch)
     grids = _record_grids(monkeypatch)
     point_distance((3.0, 0.0), (-1.0, 1.5))
-    assert sizes == [nrow * ncol for nrow, ncol in grids]
+    assert sizes == [nrow * ncol for nrow, ncol, _ in grids]
