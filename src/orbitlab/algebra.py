@@ -10,11 +10,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from numbers import Integral
 from typing import List, Sequence, Tuple
 
 from .errors import CapExceeded, OrbitlabError
 
 IntMatrix = List[List[int]]
+
+
+def _integer(x, what: str = "entries") -> int:
+    """``x`` as an int; floats, bools and strings are refused, never truncated."""
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise ValueError(f"{what} must be integers, got {x!r}")
+    return int(x)
+
+
+def _int_rows(rows) -> IntMatrix:
+    return [[_integer(x) for x in row] for row in rows]
 
 
 def _identity(n: int) -> IntMatrix:
@@ -58,7 +70,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix,
     """Return (U, D, V) with U*M*V = D, U and V unimodular, and the
     diagonal of D nonnegative with d1 | d2 | ... .
     """
-    a = [[int(x) for x in row] for row in m]
+    a = _int_rows(m)
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if any(len(row) != cols for row in a):
@@ -139,9 +151,43 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix,
     return u, a, v
 
 
+def _diagonal(d: IntMatrix) -> List[int]:
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+
+
 def snf_diagonal(m: Sequence[Sequence[int]]) -> List[int]:
     _, d, _ = smith_normal_form(m)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    return _diagonal(d)
+
+
+@dataclass(frozen=True)
+class SmithCertificate:
+    """A Smith form with its three checks, each decided exactly."""
+
+    u: IntMatrix
+    d: IntMatrix
+    v: IntMatrix
+    diagonal: List[int]
+    identity_ok: bool  # U * M * V == D
+    unimodular: bool  # det U and det V are +-1
+    chain_ok: bool  # d_i >= 0 and d_1 | d_2 | ... (0 divides only 0)
+
+    @property
+    def ok(self) -> bool:
+        return self.identity_ok and self.unimodular and self.chain_ok
+
+
+def smith_certificate(m: Sequence[Sequence[int]]) -> SmithCertificate:
+    """Smith normal form of ``m``, checked against its defining properties."""
+    u, d, v = smith_normal_form(m)
+    diag = _diagonal(d)
+    return SmithCertificate(
+        u, d, v, diag,
+        identity_ok=int_mat_mul(int_mat_mul(u, _int_rows(m)), v) == d,
+        unimodular=abs(int_determinant(u)) == 1 and abs(int_determinant(v)) == 1,
+        chain_ok=all(x >= 0 for x in diag)
+        and all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:])),
+    )
 
 
 def integer_rank(m: Sequence[Sequence[int]]) -> int:
@@ -158,11 +204,14 @@ class AbelianPresentation:
     relations: tuple  # tuple of int tuples, each of length num_generators
 
     def __init__(self, num_generators: int, relations: Sequence[Sequence[int]] = ()):
-        rel = tuple(tuple(int(x) for x in row) for row in relations)
+        num_generators = _integer(num_generators, "generator counts")
+        if num_generators < 0:
+            raise ValueError("the generator count must be nonnegative")
+        rel = tuple(map(tuple, _int_rows(relations)))
         for row in rel:
             if len(row) != num_generators:
                 raise ValueError("relation length must equal the generator count")
-        object.__setattr__(self, "num_generators", int(num_generators))
+        object.__setattr__(self, "num_generators", num_generators)
         object.__setattr__(self, "relations", rel)
 
 
@@ -176,7 +225,7 @@ def abelian_rank(p: AbelianPresentation) -> int:
 def independence_check(elements: Sequence[Sequence[int]], p: AbelianPresentation) -> bool:
     """True when no nonzero integer combination of the elements lies in the
     relation lattice, i.e. they are independent in the presented group."""
-    elems = [tuple(int(x) for x in e) for e in elements]
+    elems = [tuple(e) for e in _int_rows(elements)]
     for e in elems:
         if len(e) != p.num_generators:
             raise ValueError("element length must equal the generator count")
@@ -198,12 +247,17 @@ def _l1_ball(k: int, r: int):
             yield (head,) + tail
 
 
-def _power(g, e: int, identity):
-    out = identity
-    step = g if e >= 0 else g.inverse()
-    for _ in range(abs(e)):
-        out = out * step
-    return out
+def _power_tables(identity, elements, bound: int) -> List[dict]:
+    """Per element h, the table e -> h^e for |e| <= bound."""
+    tables = []
+    for h in elements:
+        table = {0: identity}
+        hinv = h.inverse()
+        for e in range(1, bound + 1):
+            table[e] = table[e - 1] * h
+            table[-e] = table[-(e - 1)] * hinv
+        tables.append(table)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -226,7 +280,7 @@ def hurewicz_ball_injection(group, generator_images, r: int, cap: int = 10_000_0
     from .groups import word_ball  # local import to avoid a cycle
 
     gens = [g for g, _ in generator_images]
-    images = [tuple(int(x) for x in im) for _, im in generator_images]
+    images = [tuple(im) for im in _int_rows(im for _, im in generator_images)]
     k = len(images)
     if k == 0:
         raise ValueError("need at least one generator image")
@@ -236,12 +290,13 @@ def hurewicz_ball_injection(group, generator_images, r: int, cap: int = 10_000_0
     if integer_rank([list(im) for im in images]) != k:
         raise ValueError("generator images are not independent over Z")
 
+    tables = _power_tables(group.identity, gens, r)
     seen = {}
     count = 0
     for l in _l1_ball(k, r):
         g = group.identity
-        for gi, li in zip(gens, l):
-            g = g * _power(gi, li, group.identity)
+        for table, li in zip(tables, l):
+            g = g * table[li]
         if g in seen:
             return HurewiczReport(r, count + 1, -1, False, False)
         seen[g] = l
@@ -274,25 +329,18 @@ def polycyclic_injection(identity, series_elements, box: int, cap: int = 10_000_
     series with infinite quotients; an empty collision list certifies
     injectivity on the box (and nothing more).
     """
+    if box < 0:
+        raise ValueError("box must be nonnegative")
     k = len(series_elements)
     total = (2 * box + 1) ** k
     if total > cap:
         raise CapExceeded(f"box holds {total} points, over the cap", limit=cap)
-    # cache powers per series element
-    pow_cache = []
-    for h in series_elements:
-        table = {0: identity}
-        for e in range(1, box + 1):
-            table[e] = table[e - 1] * h
-        hinv = h.inverse()
-        for e in range(1, box + 1):
-            table[-e] = table[-(e - 1)] * hinv
-        pow_cache.append(table)
+    tables = _power_tables(identity, series_elements, box)
     seen = {}
     collisions = []
     for exps in product(range(-box, box + 1), repeat=k):
         g = identity
-        for table, e in zip(pow_cache, exps):
+        for table, e in zip(tables, exps):
             g = g * table[e]
         if g in seen:
             collisions.append((seen[g], exps))

@@ -16,13 +16,12 @@ import functools
 import json
 import math
 import os
-import random
 import sys
 import time
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import algebra, flatgeo, groups, orbit, warped
+from . import algebra, flatgeo, groups, orbit, suite, warped
 from .errors import (
     CapExceeded,
     ConvergenceError,
@@ -38,7 +37,7 @@ from .errors import (
     WrongLatticeRank,
 )
 from .euclid import Isometry, Point, frac
-from .groups import HEISENBERG_IDENTITY, HeisenbergElement
+from .groups import HEISENBERG_IDENTITY, HEISENBERG_SERIES, HeisenbergElement
 
 USAGE_ERRORS = (
     ValueError,
@@ -61,19 +60,23 @@ GLOBAL_CONFIG_KEYS = {"seed", "samples", "tol", "cap"}
 CommandResult = Tuple[Dict[str, Any], bool, Optional[Tuple[List[str], List[List[Any]]]]]
 
 
-def _frac_list(text: str) -> List[Fraction]:
-    vals = [frac(tok.strip()) for tok in text.split(",") if tok.strip()]
+def _frac(text: str) -> Fraction:
+    try:
+        return frac(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"{text.strip()!r} has a zero denominator") from None
+
+
+def _number_list(text: str, parse: Callable[[str], Any]) -> List:
+    vals = [parse(tok) for tok in text.split(",") if tok.strip()]
     if not vals:
         raise ValueError("expected a comma-separated list of numbers")
     return vals
 
 
-def _int_list(text: str) -> List[int]:
-    return [int(tok.strip()) for tok in text.split(",") if tok.strip()]
-
-
-def _float_list(text: str) -> List[float]:
-    return [float(tok.strip()) for tok in text.split(",") if tok.strip()]
+_frac_list = functools.partial(_number_list, parse=_frac)
+_int_list = functools.partial(_number_list, parse=int)
+_float_list = functools.partial(_number_list, parse=float)
 
 
 def _increasing(radii: Sequence) -> List:
@@ -84,7 +87,7 @@ def _increasing(radii: Sequence) -> List:
 
 
 def _parse_point(text: str) -> Point:
-    return Point(tuple(frac(tok.strip()) for tok in text.split(",") if tok.strip()))
+    return Point(tuple(_frac(tok) for tok in text.split(",") if tok.strip()))
 
 
 def _point_json(p: Point) -> List[str]:
@@ -113,12 +116,6 @@ def _selector(name: str) -> str:
     return name.strip()
 
 
-def _deck(name: str) -> groups.DeckGroup:
-    if name in ("z1", "z2", "z3"):
-        return groups.zk_deck(int(name[1]))
-    return groups.builtin_deck_group(name)
-
-
 def _element_json(g) -> Any:
     if isinstance(g, HeisenbergElement):
         return [g.a, g.b, g.c]
@@ -131,19 +128,12 @@ def _min_samples(samples: int) -> int:
     return samples
 
 
-def _default_base(name: str, dimension: int) -> Point:
-    default = flatgeo.BASE_POINTS.get(name)
-    if default is not None:
-        return default
-    return Point(tuple(Fraction(0) for _ in range(dimension)))
-
-
 def _space_args(args) -> Tuple[groups.DeckGroup, Point]:
     """The deck group named by --space and the base point: --base, else its default."""
     args.space = _selector(args.space)
-    deck = _deck(args.space)
+    deck = groups.builtin_deck_group(args.space)
     if not getattr(args, "base", None):
-        return deck, _default_base(args.space, deck.dimension)
+        return deck, flatgeo.default_base(deck)
     p = _parse_point(args.base)
     if p.dimension != deck.dimension:
         raise ValueError("base point has the wrong dimension")
@@ -234,7 +224,7 @@ def _cmd_milnor(args) -> CommandResult:
                 "radius": r.radius,
                 "word_count": r.word_count,
                 "orbit_count": r.orbit_count,
-                "verdict": "holds" if r.ok else "fails",
+                "verdict": flatgeo.verdict(r.ok),
             }
             for r in rep.rows
         ],
@@ -262,7 +252,7 @@ def _cmd_index_check(args) -> CommandResult:
                 "whole_count": r.whole_count,
                 "subgroup_count_extended": r.subgroup_count_extended,
                 "bound": r.bound,
-                "verdict": "holds" if r.ok else "fails",
+                "verdict": flatgeo.verdict(r.ok),
             }
             for r in rep.rows
         ],
@@ -271,99 +261,23 @@ def _cmd_index_check(args) -> CommandResult:
     return payload, rep.ok, None
 
 
-def _schema_row(space: str, radius: float, quantity: str, value, stderr=None, verdict=None):
-    return {
-        "space": space,
-        "radius": radius,
-        "quantity": quantity,
-        "value": value,
-        "stderr": stderr,
-        "verdict": verdict,
-    }
-
-
-def _dual_payload(rep: flatgeo.DualReport) -> Dict[str, Any]:
-    rows: List[Dict[str, Any]] = []
-    for r in rep.rows:
-        rows.append(_schema_row(rep.space, r.radius, "count_r", r.count_r))
-        rows.append(_schema_row(rep.space, r.radius, "count_2r", r.count_2r))
-        rows.append(_schema_row(rep.space, r.radius, "ball_volume", r.volume, stderr=r.sigma))
-        rows.append(
-            _schema_row(
-                rep.space, r.radius, "lower_margin", r.lower_lhs - r.lower_rhs,
-                verdict="holds" if r.lower_ok else "fails",
-            )
-        )
-        rows.append(
-            _schema_row(
-                rep.space, r.radius, "upper_margin", r.upper_rhs - r.upper_lhs,
-                verdict="holds" if r.upper_ok else "fails",
-            )
-        )
-    word_rows = [
-        _schema_row(
-            rep.space, w.radius, "word_upper_margin", w.rhs - w.lhs, stderr=w.sigma,
-            verdict="holds" if w.ok else "fails",
-        )
-        for w in rep.word_rows
-    ]
-    out: Dict[str, Any] = {"space": rep.space, "dimension": rep.dimension, "rows": rows}
-    if word_rows:
-        out["word_rows"] = word_rows
-    out["ok"] = rep.ok
-    return out
-
-
 def _cmd_verify_dual(args) -> CommandResult:
     if _selector(args.space) == "warped":
         radii = (
             _increasing(_float_list(args.radii)) if args.radii else list(warped.DEFAULT_DUAL_RADII)
         )
         rep = warped.verify_dual(radii, tol=args.tol, square=args.square_warp, spacing=args.grid)
-        rows: List[Dict[str, Any]] = []
-        for r in rep.rows:
-            rows.append(_schema_row("warped", r.radius, "count_r", r.count_r))
-            rows.append(_schema_row("warped", r.radius, "count_2r", r.count_2r))
-            rows.append(_schema_row("warped", r.radius, "ball_volume", r.volume))
-            rows.append(_schema_row("warped", r.radius, "volume_certified_rel", r.volume_rel))
-            rows.append(
-                _schema_row(
-                    "warped", r.radius, "lower_margin", r.lower_lhs - r.lower_rhs,
-                    verdict="holds" if r.lower_ok else "fails",
-                )
-            )
-            rows.append(
-                _schema_row(
-                    "warped", r.radius, "upper_margin", r.upper_rhs - r.upper_lhs,
-                    verdict="holds" if r.upper_ok else "fails",
-                )
-            )
-        payload = {
-            "command": "verify-dual",
-            "space": "warped",
-            "table_rel": rep.table_rel,
-            "rows": rows,
-            "ok": rep.ok,
-        }
-        csv_rows = [
-            [r.radius, r.count_r, r.count_2r, r.volume, r.lower_ok, r.upper_ok] for r in rep.rows
-        ]
-        return payload, rep.ok, (["radius", "count_r", "count_2r", "volume", "lower_ok", "upper_ok"], csv_rows)
-    deck, base = _space_args(args)
-    radii = _increasing(_frac_list(args.radii)) if args.radii else [frac(v) for v in (1, 2, 4, 8, 16)]
-    rep = flatgeo.verify_dual(
-        deck, base, radii,
-        samples=_min_samples(args.samples), seed=args.seed, word_variant=args.word_variant,
-    )
-    payload = {"command": "verify-dual", **_dual_payload(rep)}
-    csv_rows = [
-        [r.radius, r.count_r, r.count_2r, r.volume, r.sigma, r.lower_ok, r.upper_ok]
-        for r in rep.rows
-    ]
-    return payload, rep.ok, (
-        ["radius", "count_r", "count_2r", "volume", "sigma", "lower_ok", "upper_ok"],
-        csv_rows,
-    )
+        header = ["radius", "count_r", "count_2r", "volume", "lower_ok", "upper_ok"]
+    else:
+        deck, base = _space_args(args)
+        radii = _increasing(_frac_list(args.radii)) if args.radii else [frac(v) for v in (1, 2, 4, 8, 16)]
+        rep = flatgeo.verify_dual(
+            deck, base, radii,
+            samples=_min_samples(args.samples), seed=args.seed, word_variant=args.word_variant,
+        )
+        header = ["radius", "count_r", "count_2r", "volume", "sigma", "lower_ok", "upper_ok"]
+    csv_rows = [[getattr(r, field) for field in header] for r in rep.rows]
+    return {"command": "verify-dual", **rep.to_obj()}, rep.ok, (header, csv_rows)
 
 
 def _cmd_thin_set(args) -> CommandResult:
@@ -371,22 +285,18 @@ def _cmd_thin_set(args) -> CommandResult:
     if args.space not in flatgeo.SOUL_AXES:
         raise ValueError(f"no bundled core geometry for {args.space!r}")
     axis = flatgeo.SOUL_AXES[args.space]
-    radii = _increasing(_frac_list(args.radii))
-    h = frac(args.thickness)
+    h = _frac(args.thickness)
     samples = _min_samples(args.samples)
+    trend = flatgeo.thin_trend(
+        deck, base, _increasing(_frac_list(args.radii)), h, axis, samples=samples, seed=args.seed
+    )
     rows: List[Dict[str, Any]] = []
-    ratios: List[float] = []
     csv_rows: List[List[Any]] = []
-    for i, r in enumerate(radii):
-        est = flatgeo.thin_set_volume(
-            deck, base, r, h, axis, samples=samples, seed=[args.seed, i]
-        )
-        per = est.value / float(r)
-        ratios.append(per)
+    for r, est, per in zip(trend.radii, trend.estimates, trend.ratios):
         rf = float(r)
-        rows.append(_schema_row(args.space, rf, "thin_volume", est.value, stderr=est.sigma))
+        rows.append(flatgeo.schema_row(args.space, rf, "thin_volume", est.value, stderr=est.sigma))
         rows.append(
-            _schema_row(args.space, rf, "thin_volume_per_radius", per, stderr=est.sigma / rf)
+            flatgeo.schema_row(args.space, rf, "thin_volume_per_radius", per, stderr=est.sigma / rf)
         )
         csv_rows.append([str(r), est.value, est.sigma, per])
     payload: Dict[str, Any] = {
@@ -396,14 +306,11 @@ def _cmd_thin_set(args) -> CommandResult:
         "samples": samples,
         "rows": rows,
     }
-    ok = True
-    if len(ratios) >= 2:
-        decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
-        payload["per_radius_strictly_decreasing"] = decreasing
-        payload["final_below_half_first"] = ratios[-1] < ratios[0] / 2.0
-        ok = decreasing
-    payload["ok"] = ok
-    return payload, ok, (["radius", "volume", "stderr", "per_radius"], csv_rows)
+    if len(trend.radii) >= 2:
+        payload["per_radius_strictly_decreasing"] = trend.decreasing
+        payload["final_below_half_first"] = trend.halved
+    payload["ok"] = trend.decreasing
+    return payload, trend.decreasing, (["radius", "volume", "stderr", "per_radius"], csv_rows)
 
 
 def _cmd_dirichlet(args) -> CommandResult:
@@ -432,7 +339,7 @@ def _cmd_dirichlet(args) -> CommandResult:
             "extension_sq": None if rep.extension_sq is None else str(rep.extension_sq),
         }
         if args.within is not None:
-            h = frac(args.within)
+            h = _frac(args.within)
             payload["within"] = {"h": str(h), "ok": rep.within(h)}
     return payload, True, None
 
@@ -452,8 +359,7 @@ def _cmd_classify(args) -> CommandResult:
         raise ValueError("pass exactly one of --space or --generators")
     if args.space:
         args.space = _selector(args.space)
-        deck = _deck(args.space)
-        gens = list(deck.word_generators)
+        gens = list(groups.builtin_deck_group(args.space).word_generators)
         if not gens:
             raise ValueError("this space has no bundled generating set")
     else:
@@ -488,20 +394,16 @@ def _cmd_snf(args) -> CommandResult:
     m = _load_json_arg(args.matrix)
     if not isinstance(m, list) or not m or not all(isinstance(r, list) for r in m):
         raise ValueError("matrix must be a JSON list of rows")
-    u, d, v = algebra.smith_normal_form(m)
-    ints = [[int(x) for x in row] for row in m]
-    identity_ok = algebra.int_mat_mul(algebra.int_mat_mul(u, ints), v) == d
-    unimodular = abs(algebra.int_determinant(u)) == 1 and abs(algebra.int_determinant(v)) == 1
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+    cert = algebra.smith_certificate(m)
     payload = {
         "command": "snf",
-        "diagonal": diag,
-        "U": u,
-        "V": v,
-        "identity_ok": identity_ok,
-        "unimodular": unimodular,
+        "diagonal": cert.diagonal,
+        "U": cert.u,
+        "V": cert.v,
+        "identity_ok": cert.identity_ok,
+        "unimodular": cert.unimodular,
     }
-    return payload, identity_ok and unimodular, None
+    return payload, cert.ok, None
 
 
 def _cmd_rank(args) -> CommandResult:
@@ -511,21 +413,19 @@ def _cmd_rank(args) -> CommandResult:
         obj = _load_json_arg(args.presentation)
         if not isinstance(obj, dict) or "num_generators" not in obj:
             raise ValueError('presentation JSON needs {"num_generators": n, "relations": [...]}')
-        num_generators = int(obj["num_generators"])
-        relations = obj.get("relations", [])
+        pres = algebra.AbelianPresentation(obj["num_generators"], obj.get("relations", []))
     elif args.num_generators is not None:
-        num_generators = args.num_generators
         relations = _load_json_arg(args.relations) if args.relations else []
+        pres = algebra.AbelianPresentation(args.num_generators, relations)
     else:
         raise ValueError("pass --presentation or --num-generators")
-    pres = algebra.AbelianPresentation(num_generators, relations)
     payload: Dict[str, Any] = {
         "command": "rank",
-        "num_generators": num_generators,
+        "num_generators": pres.num_generators,
         "rank": algebra.abelian_rank(pres),
     }
-    if relations:
-        payload["relation_diagonal"] = algebra.snf_diagonal([list(r) for r in relations])
+    if pres.relations:
+        payload["relation_diagonal"] = algebra.snf_diagonal(pres.relations)
     if args.elements:
         elements = _load_json_arg(args.elements)
         payload["independent"] = algebra.independence_check(elements, pres)
@@ -534,21 +434,10 @@ def _cmd_rank(args) -> CommandResult:
 
 def _hurewicz_setup(name: str):
     if name == "heisenberg":
-        group = groups.heisenberg_group()
-        images = [
-            (HeisenbergElement(1, 0, 0), (1, 0)),
-            (HeisenbergElement(0, 1, 0), (0, 1)),
-        ]
-        return group, images
+        return groups.heisenberg_group(), list(zip(HEISENBERG_SERIES, [(1, 0), (0, 1)]))
     if name in ("z1", "z2", "z3"):
-        k = int(name[1])
-        group = groups.zk_group(k)
-        images = []
-        for i in range(k):
-            shift = [0] * k
-            shift[i] = 1
-            images.append((Isometry.translation_by(shift), tuple(shift)))
-        return group, images
+        units = [tuple(int(i == j) for j in range(int(name[1]))) for i in range(int(name[1]))]
+        return groups.zk_group(len(units)), [(Isometry.translation_by(u), u) for u in units]
     raise ValueError(f"no bundled abelianization data for {name!r}")
 
 
@@ -570,13 +459,8 @@ def _cmd_injection_check(args) -> CommandResult:
             "ok": ok,
         }
         return payload, ok, None
-    series = [
-        HeisenbergElement(1, 0, 0),
-        HeisenbergElement(0, 1, 0),
-        HeisenbergElement(0, 0, 1),
-    ]
     rep = algebra.polycyclic_injection(
-        HEISENBERG_IDENTITY, series, args.box, cap=args.cap or 10_000_000
+        HEISENBERG_IDENTITY, HEISENBERG_SERIES, args.box, cap=args.cap or 10_000_000
     )
     payload = {
         "command": "injection-check",
@@ -597,16 +481,8 @@ def _cmd_warped_ratio(args) -> CommandResult:
     rows = warped.falsifying_ratios(
         cs, radii, tol=args.tol, square=args.square_warp, spacing=args.grid
     )
-    halving = []
-    ok = True
-    if len(radii) >= 2:
-        for c in cs:
-            mine = [r for r in rows if r.scale_c == c]
-            first = next(r for r in mine if r.radius == radii[0])
-            last = next(r for r in mine if r.radius == radii[-1])
-            good = last.ratio < first.ratio / 2.0
-            halving.append({"c": c, "first": first.ratio, "last": last.ratio, "halved": good})
-            ok = ok and good
+    halving = warped.ratio_halving(rows, cs) if len(radii) >= 2 else []
+    ok = all(h.halved for h in halving)
     payload = {
         "command": "warped-ratio",
         "rows": [
@@ -620,7 +496,7 @@ def _cmd_warped_ratio(args) -> CommandResult:
             }
             for r in rows
         ],
-        "halving": halving,
+        "halving": [h._asdict() for h in halving],
         "ok": ok,
     }
     csv_rows = [[r.scale_c, r.radius, r.word_count, r.volume, r.ratio] for r in rows]
@@ -637,13 +513,12 @@ def _cmd_warped_distance(args) -> CommandResult:
         table = warped.deck_distances(
             ks[-1], tol=args.tol, square=args.square_warp, spacing=args.grid
         )
-        ref = 4.0 * math.sqrt(math.pi)
         rows = [
             {
                 "k": k,
                 "distance": table.values[k],
                 "normalized": table.values[k] / math.sqrt(k),
-                "reference": ref,
+                "reference": warped.DISTANCE_SLOPE,
             }
             for k in ks
         ]
@@ -679,360 +554,13 @@ def _cmd_warped_distance(args) -> CommandResult:
 # the bundled verification suite
 
 
-def _stage_orbit_oracle(quick: bool, seed: int, samples: int):
-    rmax = 12 if quick else 50
-    deck = groups.zk_deck(2)
-    base = Point.of(0, 0)
-    counts = orbit.ball_counts(deck, base, [r * r for r in range(rmax + 1)])
-    mismatches = []
-    for r in range(1, rmax + 1):
-        direct = 0
-        for a in range(-r, r + 1):
-            for b in range(-r, r + 1):
-                if a * a + b * b <= r * r:
-                    direct += 1
-        if direct != counts[r]:
-            mismatches.append(r)
-    ok = not mismatches
-    detail = f"z2 orbit counts equal the direct double-loop count for radii 1..{rmax}"
-    if mismatches:
-        detail = f"mismatch at radii {mismatches}"
-    return ok, detail, {"max_radius": rmax, "count_at_max": counts[rmax]}
-
-
-def _stage_milnor(quick: bool, seed: int, samples: int):
-    names = ["z2", "moebius2"] if quick else ["z2", "z3", "moebius2", "klein2"]
-    rmax = 6 if quick else 20
-    radii = list(range(1, rmax + 1))
-    bad = []
-    for name in names:
-        deck = _deck(name)
-        base = _default_base(name, deck.dimension)
-        rep = orbit.milnor_check(deck, base, radii)
-        if not rep.ok:
-            bad.append(name)
-    ok = not bad
-    detail = (
-        f"word balls sat inside orbit balls for {', '.join(names)} at radii 1..{rmax}"
-        if ok
-        else f"violations in {', '.join(bad)}"
-    )
-    return ok, detail, {"spaces": names, "max_radius": rmax}
-
-
-def _stage_dual_flat(quick: bool, seed: int, samples: int):
-    names = ["torus2", "cylinder2"] if quick else list(SPACE_CHOICES[:5])
-    radii = [1, 2] if quick else [1, 2, 4, 8, 16]
-    bad = []
-    for i, name in enumerate(names):
-        deck = _deck(name)
-        base = flatgeo.BASE_POINTS[name]
-        rep = flatgeo.verify_dual(deck, base, radii, samples=samples, seed=seed * 100 + i)
-        if not rep.ok:
-            bad.append(name)
-    cyl = _deck("cylinder2")
-    est = flatgeo.ball_volume(cyl, flatgeo.BASE_POINTS["cylinder2"], 1, samples=samples, seed=[seed, 999])
-    ref = flatgeo.reference_ball_volume("cylinder2", 1.0)
-    ref_ok = abs(est.value - ref) <= 3.0 * est.sigma
-    ok = not bad and ref_ok
-    parts = []
-    if bad:
-        parts.append(f"dual failed on {', '.join(bad)}")
-    if not ref_ok:
-        parts.append("cylinder volume missed its closed form")
-    detail = (
-        f"both inequalities held on {', '.join(names)}; cylinder B_1 matched sqrt(3)/2 + pi/3"
-        if ok
-        else "; ".join(parts)
-    )
-    return ok, detail, {"spaces": names, "radii": radii, "cylinder_ref": ref, "cylinder_est": est.value}
-
-
-def _stage_index(quick: bool, seed: int, samples: int):
-    radii = [1, 2] if quick else [1, 2, 4, 8]
-    results = {}
-    ok = True
-    for name in ("klein2", "moebius2"):
-        deck = _deck(name)
-        sub = orbit.translation_subgroup(deck)
-        rep = orbit.finite_index_comparison(deck, sub, flatgeo.BASE_POINTS[name], radii)
-        results[name] = {"index": rep.index, "slack_sq": str(rep.slack_dist_sq), "ok": rep.ok}
-        ok = ok and rep.ok
-    detail = (
-        f"index-{results['klein2']['index']} comparisons held on klein2 and moebius2 at radii {radii}"
-        if ok
-        else "an index comparison failed"
-    )
-    return ok, detail, results
-
-
-def _stage_thin(quick: bool, seed: int, samples: int):
-    deck = _deck("cylinder2")
-    base = flatgeo.BASE_POINTS["cylinder2"]
-    radii = [4, 16] if quick else [4, 8, 16, 32]
-    n = 8000 if quick else 20000
-    ratios = []
-    for i, r in enumerate(radii):
-        est = flatgeo.thin_set_volume(deck, base, r, 1, 0, samples=n, seed=[seed, i])
-        ratios.append(est.value / r)
-    decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
-    halved = True if quick else ratios[-1] < ratios[0] / 2.0
-    rng = random.Random(seed)
-    trials = 10 if quick else 100
-    closed_form_ok = True
-    for _ in range(trials):
-        t = Fraction(rng.randint(-256, 256), 64)
-        s = Fraction(rng.randint(1, 31), 64)
-        rep = flatgeo.ray_extension(deck, base, Point.of(t, s))
-        scale = Fraction(1) / (2 * s)
-        ext_sq = (scale - 1) * (scale - 1) * (t * t + s * s)
-        if rep.ray_scale != scale or rep.extension_sq != ext_sq:
-            closed_form_ok = False
-            break
-    ok = decreasing and halved and closed_form_ok
-    parts = []
-    if not decreasing:
-        parts.append("thin-part ratio failed to decrease")
-    if not halved:
-        parts.append("final ratio above half the first")
-    if not closed_form_ok:
-        parts.append("an extension disagreed with the closed form")
-    detail = (
-        f"thin-part ratio fell monotonically over radii {radii}; {trials} ray extensions matched exactly"
-        if ok
-        else "; ".join(parts)
-    )
-    return ok, detail, {"ratios": ratios}
-
-
-def _stage_growth(quick: bool, seed: int, samples: int):
-    if quick:
-        specs = [("cylinder2", 1), ("torus2", 2)]
-        radii = [4, 8, 16]
-        tol = 0.25
-    else:
-        specs = [("cylinder2", 1), ("moebius2", 1), ("torus2", 2), ("moebiusxT", 2)]
-        radii = [4, 8, 16, 32, 64]
-        tol = 0.15
-    exps = {}
-    ok = True
-    for name, dim in specs:
-        deck = _deck(name)
-        series = orbit.orbit_growth(deck, flatgeo.BASE_POINTS[name], radii)
-        exps[name] = series.fitted_exponent
-        ok = ok and abs(series.fitted_exponent - dim) <= tol
-    listing = ", ".join(f"{k}={v:.3f}" for k, v in exps.items())
-    detail = (
-        f"fitted exponents matched soul dimensions within {tol}: {listing}"
-        if ok
-        else f"an exponent strayed past {tol}: {listing}"
-    )
-    return ok, detail, {"exponents": {k: v for k, v in exps.items()}}
-
-
-def _canonical_classify_inputs():
-    cyl = [Isometry.translation_by((0, 1))]
-    moe = [groups.moebius2_deck().coset_reps[1]]
-    refl = [
-        Isometry([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (1, 0, 0)),
-        Isometry([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, 1, 0)),
-    ]
-    return [("cylinder", cyl, "product"), ("moebius-band", moe, "moebius"), ("two-reflection", refl, "moebius")]
-
-
-def _stage_classify(quick: bool, seed: int, samples: int):
-    cases = _canonical_classify_inputs()
-    verdicts = {}
-    ok = True
-    for label, gens, expected in cases:
-        c = flatgeo.classify_flat(gens)
-        verdicts[label] = c.kind
-        ok = ok and c.kind == expected
-        if expected == "moebius":
-            ok = ok and c.reflecting_count == 1
-    rng = random.Random(seed)
-    trials = 3 if quick else 20
-    invariant = True
-    for _ in range(trials):
-        for label, gens, expected in cases:
-            n = gens[0].dimension
-            perm = list(range(n))
-            rng.shuffle(perm)
-            rows = [[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)]
-            shift = [Fraction(rng.randint(-32, 32), 4) for _ in range(n)]
-            conj = Isometry(rows, shift)
-            moved = [conj * g * conj.inverse() for g in gens]
-            if flatgeo.classify_flat(moved).kind != expected:
-                invariant = False
-    ok = ok and invariant
-    detail = (
-        f"three canonical inputs classified correctly; {trials} conjugation trials left verdicts unchanged"
-        if ok
-        else "classification missed a case or moved under conjugation"
-    )
-    return ok, detail, {"verdicts": verdicts}
-
-
-def _stage_warped(quick: bool, seed: int, samples: int):
-    if quick:
-        rows = warped.falsifying_ratios([1.0], [4.0, 16.0])
-        ok = rows[1].ratio < rows[0].ratio
-        detail = (
-            f"word-count ratio fell from {rows[0].ratio:.3f} at r=4 to {rows[1].ratio:.3f} at r=16"
-            if ok
-            else "word-count ratio failed to decrease"
-        )
-        return ok, detail, {"ratios": [rows[0].ratio, rows[1].ratio]}
-    rows = warped.falsifying_ratios([1.0, 2.0, 4.0], [8.0, 64.0])
-    halved = True
-    for c in (1.0, 2.0, 4.0):
-        first = next(r for r in rows if r.scale_c == c and r.radius == 8.0)
-        last = next(r for r in rows if r.scale_c == c and r.radius == 64.0)
-        halved = halved and last.ratio < first.ratio / 2.0
-    dual = warped.verify_dual()
-    table = warped.deck_distances(32)
-    ref = 4.0 * math.sqrt(math.pi)
-    norm_ok = all(
-        abs(table.values[k] / math.sqrt(k) - ref) <= 0.1 * ref for k in (16, 32)
-    )
-    ok = halved and dual.ok and norm_ok
-    parts = []
-    if not halved:
-        parts.append("a ratio failed to halve between r=8 and r=64")
-    if not dual.ok:
-        parts.append("a dual inequality failed")
-    if not norm_ok:
-        parts.append("d(k)/sqrt(k) strayed from 4*sqrt(pi)")
-    detail = (
-        "ratios halved for c in {1,2,4}; dual inequalities held; d(k) tracked 4*sqrt(pi*k)"
-        if ok
-        else "; ".join(parts)
-    )
-    return ok, detail, {
-        "ratios": [{"c": r.scale_c, "radius": r.radius, "ratio": r.ratio} for r in rows],
-        "dual_ok": dual.ok,
-        "normalized": {str(k): table.values[k] / math.sqrt(k) for k in (16, 32)},
-    }
-
-
-def _stage_algebra(quick: bool, seed: int, samples: int):
-    rng = random.Random(seed)
-    count = 25 if quick else 200
-    size = 5 if quick else 8
-    snf_ok = True
-    for _ in range(count):
-        nrow = rng.randint(1, size)
-        ncol = rng.randint(1, size)
-        m = [[rng.randint(-50, 50) for _ in range(ncol)] for _ in range(nrow)]
-        u, d, v = algebra.smith_normal_form(m)
-        if algebra.int_mat_mul(algebra.int_mat_mul(u, m), v) != d:
-            snf_ok = False
-            break
-        diag = [d[i][i] for i in range(min(nrow, ncol))]
-        if any(x < 0 for x in diag):
-            snf_ok = False
-            break
-        for a, b in zip(diag, diag[1:]):
-            if a != 0 and b % a != 0:
-                snf_ok = False
-        if abs(algebra.int_determinant(u)) != 1 or abs(algebra.int_determinant(v)) != 1:
-            snf_ok = False
-            break
-    heis = groups.heisenberg_group()
-    rmax = 4 if quick else 8
-    counts = groups.word_ball_counts(heis, rmax)
-    bound_ok = all(counts[r] >= 2 * r * r + 2 * r + 1 for r in range(1, rmax + 1))
-    exp_ok = True
-    if not quick:
-        series = orbit.word_growth(heis, [4, 6, 8, 10, 12])
-        exp_ok = 3.5 <= series.fitted_exponent <= 4.5
-    box = 2 if quick else 3
-    series_elems = [
-        HeisenbergElement(1, 0, 0),
-        HeisenbergElement(0, 1, 0),
-        HeisenbergElement(0, 0, 1),
-    ]
-    poly = algebra.polycyclic_injection(HEISENBERG_IDENTITY, series_elems, box)
-    ok = snf_ok and bound_ok and exp_ok and poly.injective
-    parts = []
-    if not snf_ok:
-        parts.append("a normal-form identity failed")
-    if not bound_ok:
-        parts.append("a word ball fell below its abelianized size")
-    if not exp_ok:
-        parts.append("the word growth exponent left [3.5, 4.5]")
-    if not poly.injective:
-        parts.append("polycyclic evaluation collided")
-    detail = (
-        f"{count} normal forms verified; word balls dominated 2r^2+2r+1 up to r={rmax}; "
-        f"box {box} evaluation stayed injective"
-        if ok
-        else "; ".join(parts)
-    )
-    return ok, detail, {"snf_matrices": count, "heisenberg_counts": counts}
-
-
-def _stage_determinism(quick: bool, seed: int, samples: int):
-    deck = _deck("torus2")
-    base = flatgeo.BASE_POINTS["torus2"]
-    n = min(samples, 20000)
-
-    def run() -> str:
-        rep = flatgeo.verify_dual(deck, base, [1, 2], samples=n, seed=seed)
-        return json.dumps(_dual_payload(rep), indent=2)
-
-    first = run()
-    second = run()
-    ok = first == second
-    detail = (
-        "two identically seeded runs serialized to identical bytes"
-        if ok
-        else "repeated runs diverged"
-    )
-    return ok, detail, {"bytes": len(first)}
-
-
-SUITE_STAGES = [
-    ("orbit-oracle", _stage_orbit_oracle),
-    ("milnor", _stage_milnor),
-    ("dual-flat", _stage_dual_flat),
-    ("index-lemma", _stage_index),
-    ("thin-and-extension", _stage_thin),
-    ("growth-exponents", _stage_growth),
-    ("classify", _stage_classify),
-    ("warped", _stage_warped),
-    ("algebra", _stage_algebra),
-    ("determinism", _stage_determinism),
-]
+def _print_stage(entry: Dict[str, Any]) -> None:
+    print(f"[{'PASS' if entry['ok'] else 'FAIL'}] {entry['name']}: {entry['detail']}", file=sys.stderr)
 
 
 def _cmd_suite(args) -> CommandResult:
-    quick = args.quick
-    samples = args.samples if args.samples is not None else (20000 if quick else 200000)
-    stages = []
-    passed = 0
-    for name, fn in SUITE_STAGES:
-        try:
-            ok, detail, data = fn(quick, args.seed, samples)
-        except Exception as e:  # a failing stage must not stop the suite
-            ok, detail, data = False, f"{type(e).__name__}: {e}", {}
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}", file=sys.stderr)
-        entry: Dict[str, Any] = {"name": name, "ok": ok, "detail": detail}
-        if data:
-            entry["data"] = data
-        stages.append(entry)
-        passed += 1 if ok else 0
-    payload = {
-        "command": "paper-suite",
-        "quick": quick,
-        "seed": args.seed,
-        "samples": samples,
-        "stages": stages,
-        "passed": passed,
-        "failed": len(stages) - passed,
-        "ok": passed == len(stages),
-    }
-    return payload, passed == len(stages), None
+    report = suite.run_suite(args.quick, args.seed, args.samples, _print_stage)
+    return {"command": "paper-suite", **report}, report["ok"], None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -72,6 +72,12 @@ def soul_dimension(name: str) -> int:
         return SOUL_DIMENSIONS[name]
     except KeyError:
         raise KeyError(f"no bundled soul dimension for {name!r}") from None
+
+
+def default_base(deck: DeckGroup) -> Point:
+    """The bundled base point of the deck group's space, else the origin."""
+    base = BASE_POINTS.get(deck.name)
+    return base if base is not None else Point(tuple(Fraction(0) for _ in range(deck.dimension)))
 
 
 def unit_ball_volume(n: int) -> float:
@@ -459,6 +465,30 @@ def thin_set_volume(
     return _stratified_estimate(indicator, lo, hi, samples, seed)
 
 
+@dataclass(frozen=True)
+class ThinTrend:
+    """Thin-part volumes over increasing radii. Near a soul of dimension
+    one, volume per radius falls toward zero."""
+
+    radii: Tuple
+    estimates: Tuple[VolumeEstimate, ...]
+    ratios: Tuple[float, ...]  # volume / radius
+    decreasing: bool  # strictly
+    halved: bool  # the last ratio is below half the first
+
+
+def thin_trend(deck: DeckGroup, center: Point, radii: Sequence, thickness, soul_axis: Optional[int],
+               samples: int = 20_000, seed=7) -> ThinTrend:
+    """``thin_set_volume`` at each radius, the i-th seeded with [seed, i]."""
+    ests = tuple(
+        thin_set_volume(deck, center, r, thickness, soul_axis, samples=samples, seed=[seed, i])
+        for i, r in enumerate(radii)
+    )
+    ratios = tuple(e.value / float(r) for r, e in zip(radii, ests))
+    decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
+    return ThinTrend(tuple(radii), ests, ratios, decreasing, ratios[-1] < ratios[0] / 2.0)
+
+
 # ---------------------------------------------------------------------------
 # closed-form references
 
@@ -489,6 +519,28 @@ def reference_ball_volume(name: str, radius: float) -> float:
 
 # ---------------------------------------------------------------------------
 # dual covering inequalities
+
+
+def schema_row(space: str, radius, quantity: str, value, stderr=None, verdict=None) -> Dict[str, Any]:
+    """One row of a dual or thin-set table: a quantity at a radius."""
+    return dict(space=space, radius=radius, quantity=quantity, value=value, stderr=stderr, verdict=verdict)
+
+
+def verdict(ok: bool) -> str:
+    return "holds" if ok else "fails"
+
+
+def dual_rows(space: str, row, volume_rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """The table rows of one radius of a flat or warped dual check: both
+    counts, the rows that bound the volume, then both margins."""
+    r = row.radius
+    return [
+        schema_row(space, r, "count_r", row.count_r),
+        schema_row(space, r, "count_2r", row.count_2r),
+        *volume_rows,
+        schema_row(space, r, "lower_margin", row.lower_lhs - row.lower_rhs, verdict=verdict(row.lower_ok)),
+        schema_row(space, r, "upper_margin", row.upper_rhs - row.upper_lhs, verdict=verdict(row.upper_ok)),
+    ]
 
 
 @dataclass(frozen=True)
@@ -529,6 +581,22 @@ class DualReport:
         return all(r.lower_ok and r.upper_ok for r in self.rows) and all(
             w.ok for w in self.word_rows
         )
+
+    def to_obj(self) -> Dict[str, Any]:
+        """The verify-dual table: per radius, counts, volume and margins."""
+        space = self.space
+        out: Dict[str, Any] = {"space": space, "dimension": self.dimension, "rows": [
+            x for r in self.rows
+            for x in dual_rows(space, r, [schema_row(space, r.radius, "ball_volume", r.volume, stderr=r.sigma)])
+        ]}
+        if self.word_rows:
+            out["word_rows"] = [
+                schema_row(space, w.radius, "word_upper_margin", w.rhs - w.lhs,
+                           stderr=w.sigma, verdict=verdict(w.ok))
+                for w in self.word_rows
+            ]
+        out["ok"] = self.ok
+        return out
 
 
 def verify_dual(

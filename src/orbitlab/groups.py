@@ -83,6 +83,9 @@ class HeisenbergElement(NamedTuple):
 
 
 HEISENBERG_IDENTITY = HeisenbergElement(0, 0, 0)
+# x, y and their commutator z = [x, y]: a cyclic series with infinite
+# quotients, whose first two elements generate the group
+HEISENBERG_SERIES = (HeisenbergElement(1, 0, 0), HeisenbergElement(0, 1, 0), HeisenbergElement(0, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -835,11 +838,7 @@ def zk_deck(k: int) -> DeckGroup:
 
 
 def heisenberg_group() -> GeneratedGroup:
-    return GeneratedGroup.closure(
-        HEISENBERG_IDENTITY,
-        [HeisenbergElement(1, 0, 0), HeisenbergElement(0, 1, 0)],
-        name="heisenberg",
-    )
+    return GeneratedGroup.closure(HEISENBERG_IDENTITY, HEISENBERG_SERIES[:2], name="heisenberg")
 
 
 def builtin_generated_group(name: str) -> GeneratedGroup:
@@ -929,6 +928,8 @@ GENERATED_GROUP_NAMES = ("z1", "z2", "z3", "heisenberg") + DECK_GROUP_NAMES
 
 
 def builtin_deck_group(name: str) -> DeckGroup:
+    if name in ("z1", "z2", "z3"):
+        return zk_deck(int(name[1]))
     try:
         return _BUILTIN_DECKS[name]()
     except KeyError:

@@ -38,19 +38,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import CapExceeded, ConvergenceError, TruncationError
+from .flatgeo import dual_rows, schema_row
 
 BASE_DR = 0.25
 BASE_DS = 0.25
 DEFAULT_TOL = 0.02
 NODE_CAP = 20_000_000
 CIRCUMFERENCE = 2.0 * math.pi
+# d(k) / sqrt(k) for the plain warp: the climb-and-wrap bound 4*sqrt(pi*k)
+DISTANCE_SLOPE = 4.0 * math.sqrt(math.pi)
 
 
 def warp(r: float) -> float:
@@ -403,6 +406,24 @@ def falsifying_ratios(
     return rows
 
 
+class Halving(NamedTuple):
+    c: float
+    first: float
+    last: float
+    halved: bool
+
+
+def ratio_halving(rows: Sequence[RatioRow], cs: Sequence[float], factor: float = 2.0) -> List[Halving]:
+    """Per c, the ratio at the first and the last radius of ``rows`` and
+    whether the last fell below the first divided by ``factor``."""
+    out = []
+    for c in cs:
+        mine = [r for r in rows if r.scale_c == float(c)]
+        first, last = mine[0].ratio, mine[-1].ratio
+        out.append(Halving(float(c), first, last, last < first / factor))
+    return out
+
+
 @dataclass(frozen=True)
 class WarpedDualRow:
     radius: float
@@ -426,6 +447,18 @@ class WarpedDualReport:
     @property
     def ok(self) -> bool:
         return all(r.lower_ok and r.upper_ok for r in self.rows)
+
+    def to_obj(self) -> Dict[str, Any]:
+        """The verify-dual table: the flat schema, with each volume's
+        certified relative gap in place of a sigma."""
+        rows = [
+            x for r in self.rows
+            for x in dual_rows("warped", r, [
+                schema_row("warped", r.radius, "ball_volume", r.volume),
+                schema_row("warped", r.radius, "volume_certified_rel", r.volume_rel),
+            ])
+        ]
+        return {"space": "warped", "table_rel": self.table_rel, "rows": rows, "ok": self.ok}
 
 
 DEFAULT_DUAL_RADII = (8.0, 16.0, 32.0)

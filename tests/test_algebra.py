@@ -14,12 +14,14 @@ from orbitlab.algebra import (
     int_determinant,
     integer_rank,
     polycyclic_injection,
+    smith_certificate,
     smith_normal_form,
     snf_diagonal,
 )
 from orbitlab.euclid import Isometry
 from orbitlab.groups import (
     HEISENBERG_IDENTITY,
+    HEISENBERG_SERIES,
     HeisenbergElement,
     heisenberg_group,
     zk_group,
@@ -181,3 +183,32 @@ def test_polycyclic_detects_collision():
     rep = polycyclic_injection(HEISENBERG_IDENTITY, series, 1)
     assert not rep.injective
     assert rep.collisions
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: smith_normal_form([[1.5]]),
+        lambda: smith_normal_form([[1, 2], [3, "4"]]),
+        lambda: smith_normal_form([[True, 0]]),
+        lambda: AbelianPresentation(1, [[0.5]]),
+        lambda: AbelianPresentation(1.5, []),
+        lambda: AbelianPresentation(-1, []),
+        lambda: independence_check([[0.5, 1]], AbelianPresentation(2, [])),
+        lambda: polycyclic_injection(HEISENBERG_IDENTITY, HEISENBERG_SERIES, -1),
+    ],
+    ids=["snf-float", "snf-string", "snf-bool", "relation-float", "count-float",
+         "count-negative", "element-float", "box-negative"],
+)
+def test_non_integer_or_negative_inputs_are_refused(call):
+    # truncating 1.5 to 1 would certify a statement about another input
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_smith_certificate_checks_every_property():
+    cert = smith_certificate([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    assert cert.diagonal == [2, 2, 156]
+    assert cert.identity_ok and cert.unimodular and cert.chain_ok and cert.ok
+    assert _mat_mul(_mat_mul(cert.u, [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]), cert.v) == cert.d
+    assert smith_certificate([[0, 0], [0, 3]]).diagonal == [3, 0]

@@ -162,7 +162,7 @@ def test_classify_bundled_space(capsys):
 
 
 def test_classify_generators_from_json(capsys):
-    gens = [g.to_obj() for g in cli._deck("moebius2").word_generators]
+    gens = [g.to_obj() for g in groups.builtin_deck_group("moebius2").word_generators]
     code, doc = run_json(capsys, "classify", "--generators", json.dumps(gens))
     assert code == 0
     assert doc["kind"] == "moebius"
@@ -282,6 +282,21 @@ def test_classify_noncommuting_fails_with_error_payload(capsys):
         ("verify-dual", "--space", "torus2", "--radii", "1,2", "--samples", "999"),
         ("warped-distance", "--k", "1", "--space", "N"),
         ("dirichlet", "--space", "torus2", "--point", "1/4,0,0"),
+        # a zero denominator or an empty list is malformed input, not a crash
+        ("orbit-count", "--space", "torus2", "--radii", "1/0"),
+        ("orbit-count", "--space", "torus2", "--base", "1/0,0"),
+        ("dirichlet", "--space", "torus2", "--point", "1/0,0"),
+        ("dirichlet", "--space", "torus2", "--point", "1/4,0", "--within", "1/0"),
+        ("thin-set", "--space", "cylinder2", "--radii", "4", "--h", "0/0"),
+        ("warped-distance", "--k", ","),
+        # truncating these would prove a statement about other inputs
+        ("snf", "--matrix", "[[1.5]]"),
+        ("snf", "--matrix", "[[true, 0]]"),
+        ("rank", "--num-generators", "1", "--relations", "[[1.5]]"),
+        ("rank", "--num-generators", "1", "--elements", "[[0.5]]"),
+        ("rank", "--presentation", '{"num_generators": 1.5}'),
+        ("rank", "--num-generators", "-1"),
+        ("injection-check", "--box", "-1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -418,6 +433,17 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_te
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
 def test_exact_outputs_match_the_recorded_ones(capsys, case):
+    assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
+# stdout, stderr and exit code of the quick seeded suite, recorded once:
+# two runs of the same code always agree, so only a recorded report sees
+# a detail line, a data field or a stage order that a refactor moves
+SUITE_GOLDEN = json.loads((Path(__file__).parent / "data" / "suite_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", SUITE_GOLDEN, ids=[" ".join(c["argv"]) for c in SUITE_GOLDEN])
+def test_suite_report_matches_the_recorded_one(capsys, case):
     assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
 
 

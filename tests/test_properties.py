@@ -218,7 +218,7 @@ def points_in(draw, dimension):
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_ball_counts_match_a_box_scan(name, data):
-    deck = cli._deck(name)
+    deck = builtin_deck_group(name)
     x = data.draw(points_in(deck.dimension))
     radii_sq = data.draw(st.lists(
         st.fractions(min_value=0, max_value=12, max_denominator=9), min_size=1, max_size=4))
@@ -234,7 +234,7 @@ def test_ball_counts_match_a_box_scan(name, data):
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_nearest_lifts_match_a_box_scan(name, data):
-    deck = cli._deck(name)
+    deck = builtin_deck_group(name)
     center = data.draw(points_in(deck.dimension))
     target = data.draw(points_in(deck.dimension))
     # the identity lift bounds the minimum
@@ -500,7 +500,7 @@ def _first_binding(deck, center, d, reach):
 
 @st.composite
 def ray_cases(draw, name):
-    deck = cli._deck(name)
+    deck = builtin_deck_group(name)
     center = Point(tuple(draw(COORD) for _ in range(deck.dimension)))
     target = Point(tuple(draw(RAY_COORD) for _ in range(deck.dimension)))
     d2, lifts = nearest_lifts(deck, center, target)

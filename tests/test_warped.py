@@ -12,12 +12,14 @@ from orbitlab import warped
 from orbitlab.errors import ConvergenceError
 from orbitlab.warped import (
     CIRCUMFERENCE,
+    RatioRow,
     ball_volume,
     deck_distances,
     falsifying_ratios,
     metric_factor,
     orbit_count,
     point_distance,
+    ratio_halving,
     verify_dual,
     warp,
     warp_derivative,
@@ -176,6 +178,20 @@ def test_falsifying_ratios_decay():
         assert by_key[(c, 16.0)].ratio < by_key[(c, 4.0)].ratio
     # doubling c doubles the word count, roughly doubling the ratio
     assert by_key[(2.0, 16.0)].ratio > by_key[(1.0, 16.0)].ratio
+
+
+def test_ratio_halving_compares_first_and_last_radius_per_c():
+    rows = [
+        RatioRow(c, r, 1, 1.0, 0.0, ratio)
+        for c, r, ratio in [(1.0, 8.0, 4.0), (1.0, 16.0, 3.0), (1.0, 64.0, 1.9),
+                            (2.0, 8.0, 6.0), (2.0, 16.0, 5.0), (2.0, 64.0, 3.0)]
+    ]
+    halving = ratio_halving(rows, [1, 2])
+    assert [(h.c, h.first, h.last, h.halved) for h in halving] == [
+        (1.0, 4.0, 1.9, True), (2.0, 6.0, 3.0, False),
+    ]
+    # factor 1: any strict fall passes
+    assert all(h.halved for h in ratio_halving(rows, [1, 2], factor=1.0))
 
 
 def test_verify_dual_small_radii():
