@@ -720,20 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# option spellings that argparse accepts for one destination; config
-# overrides must lose to ANY explicit spelling on the command line
-CONFIG_FLAG_ALIASES = {
-    "space": ("--space", "--group"),
-    "base": ("--base", "--point"),
-    "radii": ("--radii", "--radius"),
-    "thickness": ("--thickness", "--h"),
-    "cs": ("--cs", "--c"),
-    "start": ("--start", "--from"),
-    "end": ("--end", "--to"),
-    "surface": ("--space",),
-}
-
-
 def _config_pairs(items: Sequence[str]) -> Dict[str, str]:
     pairs: Dict[str, str] = {}
     for item in items:
@@ -749,23 +735,33 @@ def _config_pairs(items: Sequence[str]) -> Dict[str, str]:
 
 
 def _apply_config(args, argv: Sequence[str]) -> None:
+    options = _options(args.command)
     for key, raw in _config_pairs(args.config).items():
-        flags = CONFIG_FLAG_ALIASES.get(key, ("--" + key.replace("_", "-"),))
-        if not hasattr(args, key):
+        action = options.get(key)
+        if action is None or not hasattr(args, key):
             if key in GLOBAL_CONFIG_KEYS:
                 continue
             raise ValueError(f"config key {key!r} does not apply to this command")
-        if any(tok == f or tok.startswith(f + "=") for tok in argv for f in flags):
+        # an explicit flag, in any of its spellings, beats the config
+        if any(tok == f or tok.startswith(f + "=") for tok in argv for f in action.option_strings):
             continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
+        if isinstance(getattr(args, key), bool):
             setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, key, int(raw))
-        elif isinstance(current, float):
-            setattr(args, key, float(raw))
-        else:
-            setattr(args, key, raw)
+            continue
+        # the checks the flag would get, also where the default is None
+        try:
+            value = (action.type or str)(raw)
+        except argparse.ArgumentTypeError as e:
+            raise ValueError(f"config {key}={raw}: {e}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config {key}={raw}: choose from {', '.join(map(str, action.choices))}")
+        setattr(args, key, value)
+
+
+def _options(command: str) -> Dict[str, argparse.Action]:
+    """The argparse action of each option of ``command``, by destination."""
+    subparsers = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in subparsers.choices[command]._actions}
 
 
 def _emit(payload: Dict[str, Any], args, csv_data) -> None:

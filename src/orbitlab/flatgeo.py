@@ -305,6 +305,11 @@ def _strata_per_axis(samples: int, dim: int) -> int:
     return s
 
 
+# the most samples one indicator call sees; blocks hold whole cells, so
+# only a single cell larger than this makes a larger block
+_BLOCK_SAMPLES = 1 << 16
+
+
 def _stratified_estimate(
     indicator: Callable[[np.ndarray], np.ndarray],
     lo: np.ndarray,
@@ -312,41 +317,66 @@ def _stratified_estimate(
     samples: int,
     seed,
 ) -> VolumeEstimate:
+    """Stratified Monte Carlo volume of {x in [lo, hi] : indicator(x)}.
+
+    The box is cut into s^dim equal cells, s = `_strata_per_axis` (at
+    most 10 per axis, at least 32 samples per cell); cell c has index
+    (c // s^i) % s on axis i, so axis 0 varies fastest. Each cell gets
+    samples // cells points, the first samples % cells cells one more,
+    drawn uniformly in the cell from one ``default_rng(seed)`` stream in
+    cell order.
+
+    The points are drawn a block of consecutive whole cells at a time,
+    at most ``_BLOCK_SAMPLES`` rows unless one cell alone is larger, and
+    the indicator sees each block once. ``rng.random`` scaled in place by
+    the cell's width and shifted by its low corner is exactly what
+    ``rng.uniform(cell_lo, cell_hi)`` computes per cell, from the same
+    doubles in the same order, so the samples do not depend on the
+    blocking. The per-cell terms of the value and the variance are then
+    added in cell order in Python floats, as a per-cell loop adds them;
+    a numpy sum would add them pairwise and change the last bits.
+    """
     if samples < 64:
         raise InsufficientSamples("need at least 64 samples for a volume estimate")
     dim = lo.shape[0]
     s = _strata_per_axis(samples, dim)
     cells = s ** dim
-    per = samples // cells
-    extra = samples - per * cells
+    per, extra = divmod(samples, cells)
     rng = np.random.default_rng(seed)
     edges = [np.linspace(lo[i], hi[i], s + 1) for i in range(dim)]
+    cell = np.arange(cells)
+    cell_lo = np.empty((cells, dim))
+    width = np.empty((cells, dim))
+    for i in range(dim):
+        k = cell // s ** i % s
+        cell_lo[:, i] = edges[i][k]
+        width[:, i] = edges[i][k + 1] - cell_lo[:, i]
+    vol = np.prod(width, axis=1)
+    ms = np.full(cells, per)
+    ms[:extra] += 1
+    ends = np.cumsum(ms)
+    hits = np.empty(cells, dtype=np.int64)
+    a = 0
+    while a < cells:
+        start = int(ends[a] - ms[a])
+        b = max(a + 1, int(np.searchsorted(ends, start + _BLOCK_SAMPLES, side="right")))
+        owner = np.repeat(np.arange(b - a), ms[a:b])
+        pts = rng.random((int(ends[b - 1]) - start, dim))
+        pts *= width[a:b][owner]
+        pts += cell_lo[a:b][owner]
+        hits[a:b] = np.bincount(owner[np.flatnonzero(indicator(pts))], minlength=b - a)
+        a = b
     total = 0.0
     var = 0.0
-    used = 0
-    for cell in range(cells):
-        idx = []
-        c = cell
-        for _ in range(dim):
-            idx.append(c % s)
-            c //= s
-        cell_lo = np.array([edges[i][idx[i]] for i in range(dim)])
-        cell_hi = np.array([edges[i][idx[i] + 1] for i in range(dim)])
-        m = per + (1 if cell < extra else 0)
-        if m == 0:
-            continue
-        pts = rng.uniform(cell_lo, cell_hi, size=(m, dim))
-        hits = int(np.count_nonzero(indicator(pts)))
-        vol_cell = float(np.prod(cell_hi - cell_lo))
-        p = hits / m
-        total += vol_cell * p
-        var += vol_cell * vol_cell * p * (1.0 - p) / m
-        used += m
+    for v, h, m in zip(vol.tolist(), hits.tolist(), ms.tolist()):
+        p = h / m
+        total += v * p
+        var += v * v * p * (1.0 - p) / m
     seed_tuple = tuple(seed) if isinstance(seed, (list, tuple)) else (int(seed),)
     return VolumeEstimate(
         value=total,
         sigma=math.sqrt(var),
-        samples=used,
+        samples=samples,
         region_volume=float(np.prod(hi - lo)),
         seed_used=seed_tuple,
     )
@@ -354,12 +384,22 @@ def _stratified_estimate(
 
 def _orbit_cloud(hits: Sequence[OrbitHit], center: Point, reach_sq: Fraction):
     """The distinct orbit points among ``hits`` within ``reach_sq`` of the
-    center, sorted, and the center's index among them."""
-    uniq = sorted({tuple(h.image) for h in hits if h.dist_sq <= reach_sq})
-    pts = np.array([[float(c) for c in p] for p in uniq], dtype=float)
+    center, sorted, and the center's index among them.
+
+    The points are deduplicated and sorted as integer numerators over one
+    common denominator, which order as the Fractions do; ``n / den`` is
+    correctly rounded, so each float equals ``float(Fraction)``.
+    """
+    images = [tuple(h.image) for h in hits if h.dist_sq <= reach_sq]
     ctr = tuple(center)
-    center_idx = uniq.index(ctr)
-    return pts, center_idx
+    den = math.lcm(*(c.denominator for c in ctr), *(c.denominator for p in images for c in p))
+
+    def key(p):
+        return tuple(c.numerator * (den // c.denominator) for c in p)
+
+    uniq = sorted({key(p) for p in images})
+    pts = np.array([[n / den for n in p] for p in uniq], dtype=float)
+    return pts, uniq.index(key(ctr))
 
 
 def ball_volume(

@@ -410,6 +410,31 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     assert doc["samples"] == 2000
 
 
+def test_config_value_gets_its_option_type_under_a_none_default(capsys):
+    # --cap defaults to None; its config value must still become an int
+    code, doc = run_json(capsys, "word-ball", "--group", "z2", "--radius", "3", "--config", "cap=100")
+    _, doc_flag = run_json(capsys, "word-ball", "--group", "z2", "--radius", "3", "--cap", "100")
+    assert code == 0 and doc == doc_flag
+
+
+def test_config_samples_reach_the_quick_suite(capsys):
+    # paper-suite's --samples defaults to None too
+    code, doc = run_json(capsys, "paper-suite", "--quick", "--config", "samples=5000")
+    assert code == 0 and doc["ok"] and doc["samples"] == 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ("paper-suite", "--quick", "--config", "samples=abc"),
+    # a choice the flag would refuse, and a namespace entry that is no option
+    ("soul-dim", "--space", "torus2", "--config", "format=xml"),
+    ("soul-dim", "--space", "torus2", "--config", "func=x"),
+])
+def test_config_value_the_flag_would_refuse_is_a_usage_error(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+
+
 # ---------------------------------------------------------------------------
 # environment cap pass-through
 

@@ -162,6 +162,30 @@ def test_ball_volume_cylinder_matches_reference():
     assert abs(est.value - ref) <= 3 * est.sigma
 
 
+SIGMA_CASES = [("torus2", r) for r in (Fraction(1, 4), Fraction(2, 5), Fraction(3, 5))] + [
+    ("cylinder2", r) for r in (Fraction(1, 2), 1, 2)
+]
+SIGMA_SEEDS = 30
+
+
+def test_ball_volume_sigma_is_honest():
+    # z = (estimate - exact) / sigma over fixed seeds should look standard
+    # normal; each case has its own seeds, since a disc ball scales to the
+    # same samples under the same seed
+    zs = []
+    for k, (name, r) in enumerate(SIGMA_CASES):
+        deck = builtin_deck_group(name)
+        ref = reference_ball_volume(name, float(r))
+        for i in range(SIGMA_SEEDS):
+            est = ball_volume(deck, BASE_POINTS[name], r, samples=20_000, seed=[k, i])
+            zs.append((est.value - ref) / est.sigma)
+    assert max(abs(z) for z in zs) <= 4
+    assert sum(abs(z) > 3 for z in zs) <= 0.01 * len(zs)
+    mean = sum(zs) / len(zs)
+    sd = math.sqrt(sum((z - mean) ** 2 for z in zs) / (len(zs) - 1))
+    assert 0.7 <= sd <= 1.2
+
+
 def test_ball_volume_deterministic_per_seed():
     deck = builtin_deck_group("klein2")
     base = BASE_POINTS["klein2"]

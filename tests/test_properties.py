@@ -17,7 +17,10 @@ floods only the r >= 0 half of a symmetric grid, or only the rows within
 a given reach of its centre, is checked bit for bit against a plain
 Dijkstra over the whole grid (cylinders of one column up), and the deck
 distances, whose flood stops at the rows a shortest path can reach,
-against a flood of their whole window.
+against a flood of their whole window. The Monte Carlo estimator, which
+draws and tests its samples a block of cells at a time, is checked bit
+for bit against a loop over its cells, and the integer-keyed orbit cloud
+against the same cloud sorted and converted as Fractions.
 """
 
 import contextlib
@@ -34,7 +37,7 @@ from unittest import mock
 import numpy as np
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, Rational, eye
 
@@ -463,6 +466,91 @@ def test_shared_enumeration_keeps_every_cloud(name):
         assert np.array_equal(alone[0], shared[0]) and alone[1] == shared[1]
         assert flatgeo.ball_volume(deck, center, r, samples=2000, seed=5) == flatgeo.ball_volume(
             deck, center, r, samples=2000, seed=5, hits=hits)
+
+
+# ---------------------------------------------------------------------------
+# the Monte Carlo estimator against a loop over its cells
+
+
+def _per_cell_estimate(indicator, lo, hi, samples, seed):
+    """The stratified estimate as a loop over cells: one ``uniform`` draw
+    and one indicator call per cell, axis 0 varying fastest."""
+    dim = lo.shape[0]
+    s = flatgeo._strata_per_axis(samples, dim)
+    cells = s ** dim
+    per, extra = divmod(samples, cells)
+    rng = np.random.default_rng(seed)
+    edges = [np.linspace(lo[i], hi[i], s + 1) for i in range(dim)]
+    total = var = 0.0
+    for cell in range(cells):
+        idx = [cell // s ** i % s for i in range(dim)]
+        cell_lo = np.array([edges[i][idx[i]] for i in range(dim)])
+        cell_hi = np.array([edges[i][idx[i] + 1] for i in range(dim)])
+        m = per + (1 if cell < extra else 0)
+        pts = rng.uniform(cell_lo, cell_hi, size=(m, dim))
+        p = int(np.count_nonzero(indicator(pts))) / m
+        vol = float(np.prod(cell_hi - cell_lo))
+        total += vol * p
+        var += vol * vol * p * (1.0 - p) / m
+    seed_used = tuple(seed) if isinstance(seed, list) else (seed,)
+    return flatgeo.VolumeEstimate(total, math.sqrt(var), samples, float(np.prod(hi - lo)), seed_used)
+
+
+@st.composite
+def estimator_cases(draw):
+    dim = draw(st.integers(1, 3))
+    lo = np.array(draw(st.lists(st.floats(-3, 3), min_size=dim, max_size=dim)))
+    hi = lo + np.array(draw(st.lists(st.floats(0.01, 4), min_size=dim, max_size=dim)))
+    # sample counts on both sides of the sampling block
+    samples = draw(st.one_of(st.integers(64, 5_000), st.integers(64, 70_000),
+                             st.integers(flatgeo._BLOCK_SAMPLES - 100, 70_000)))
+    seed = draw(st.one_of(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 999), min_size=1, max_size=3)))
+    c = np.array(draw(st.lists(st.floats(-3, 3), min_size=dim, max_size=dim)))
+    if draw(st.booleans()):
+        r = draw(st.floats(0.1, 3))
+        return lo, hi, samples, seed, lambda pts: np.linalg.norm(pts - c, axis=1) <= r
+    b = draw(st.floats(-2, 2))
+    return lo, hi, samples, seed, lambda pts: pts @ c <= b
+
+
+@given(estimator_cases())
+@example((np.zeros(3), np.ones(3), 70_000, [7, 1], lambda pts: pts.sum(axis=1) <= 1))
+@settings(max_examples=25, deadline=None)
+def test_block_estimate_matches_the_per_cell_loop(case):
+    lo, hi, samples, seed, inside = case
+    rows = []
+
+    def indicator(pts):
+        rows.append(len(pts))
+        return inside(pts)
+
+    assert flatgeo._stratified_estimate(indicator, lo, hi, samples, seed) == _per_cell_estimate(
+        inside, lo, hi, samples, seed)
+    assert sum(rows) == samples and max(rows) <= flatgeo._BLOCK_SAMPLES
+    if samples <= flatgeo._BLOCK_SAMPLES:
+        assert len(rows) == 1
+
+
+def _fraction_cloud(hits, center, reach_sq):
+    """`_orbit_cloud` on Fraction tuples, sorted and converted one by one."""
+    uniq = sorted({tuple(h.image) for h in hits if h.dist_sq <= reach_sq})
+    return np.array([[float(c) for c in p] for p in uniq], dtype=float), uniq.index(tuple(center))
+
+
+MIXED_COORD = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 3, 7, 10]))
+
+
+@pytest.mark.parametrize("name", decks.DECK_NAMES)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_integer_keyed_cloud_matches_the_fraction_cloud(name, data):
+    deck = decks.deck(name)
+    center = Point(data.draw(st.lists(MIXED_COORD, min_size=deck.dimension, max_size=deck.dimension)))
+    reach_sq = data.draw(st.fractions(min_value=Fraction(1, 7), max_value=9, max_denominator=7))
+    hits = deck.enumerate_orbit(center, 9)
+    pts, idx = flatgeo._orbit_cloud(hits, center, reach_sq)
+    want, want_idx = _fraction_cloud(hits, center, reach_sq)
+    assert pts.shape == want.shape and pts.tobytes() == want.tobytes() and idx == want_idx
 
 
 # ---------------------------------------------------------------------------
