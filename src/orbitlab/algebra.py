@@ -277,7 +277,7 @@ def hurewicz_ball_injection(group, generator_images, r: int, cap: int = 10_000_0
     rank); the section sends sum l_i * gamma_i to g_1^{l_1} ... g_k^{l_k},
     and injectivity is checked by exact element comparison.
     """
-    from .groups import word_ball  # local import to avoid a cycle
+    from .groups import word_ball_counts  # local import to avoid a cycle
 
     gens = [g for g, _ in generator_images]
     images = [tuple(im) for im in _int_rows(im for _, im in generator_images)]
@@ -303,7 +303,7 @@ def hurewicz_ball_injection(group, generator_images, r: int, cap: int = 10_000_0
         count += 1
         if count > cap:
             raise CapExceeded("abelian ball exceeded cap", limit=cap)
-    group_count = len(word_ball(group, r, cap=cap))
+    group_count = word_ball_counts(group, r, cap=cap)[-1]
     return HurewiczReport(
         radius=r,
         abelian_count=count,

@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import algebra, flatgeo, groups, orbit, suite, warped
 from .errors import (
@@ -734,8 +734,25 @@ def _config_pairs(items: Sequence[str]) -> Dict[str, str]:
     return pairs
 
 
+def _flagged(argv: Sequence[str], options: Dict[str, argparse.Action]) -> Set[str]:
+    """Destinations of the options argv sets, by any spelling or, as argparse
+    allows, an unambiguous prefix of a long one (``--sam=5`` for ``--samples``)."""
+    spellings = {f: a.dest for a in options.values() for f in a.option_strings}
+    out = set()
+    for tok in argv:
+        name = tok.partition("=")[0]
+        if name in spellings:
+            out.add(spellings[name])
+        elif name.startswith("--"):
+            dests = {d for f, d in spellings.items() if f.startswith(name)}
+            if len(dests) == 1:
+                out |= dests
+    return out
+
+
 def _apply_config(args, argv: Sequence[str]) -> None:
     options = _options(args.command)
+    flagged = _flagged(argv, options)
     for key, raw in _config_pairs(args.config).items():
         action = options.get(key)
         if action is None or not hasattr(args, key):
@@ -743,7 +760,7 @@ def _apply_config(args, argv: Sequence[str]) -> None:
                 continue
             raise ValueError(f"config key {key!r} does not apply to this command")
         # an explicit flag, in any of its spellings, beats the config
-        if any(tok == f or tok.startswith(f + "=") for tok in argv for f in action.option_strings):
+        if key in flagged:
             continue
         if isinstance(getattr(args, key), bool):
             setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))

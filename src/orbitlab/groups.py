@@ -12,16 +12,18 @@ The exact core runs on integers and builds a Fraction only for a value
 handed back to a caller. A lattice query writes |B m - w|^2 as
 q(m) / scale with q an integer quadratic in the coordinates m and scans
 the ellipsoid q(m) <= limit level by level (Fincke-Pohst), each range
-exact by ``isqrt``. Orbit hits are integer images and translations over
-one common denominator. Deck elements in normal form (``DeckWord``, a
-coset index and integer lattice coordinates, after Zassenhaus) multiply
-and invert through integer tables, so word balls hash int tuples.
+exact by ``isqrt``. Orbit records are integer images, translations and
+lattice coordinates over one common denominator; counts read them as
+they are, and only hits handed back build an isometry. Deck elements in
+normal form (``DeckWord``, a coset index and integer lattice
+coordinates, after Zassenhaus) multiply and invert through integer
+tables, so word balls of deck-derived groups hash int tuples.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import floor, isqrt, lcm
@@ -72,11 +74,10 @@ class HeisenbergElement(NamedTuple):
     c: int
 
     def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
-        return HeisenbergElement(
-            self.a + other.a,
-            self.b + other.b,
-            self.c + other.c + self.a * other.b,
-        )
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        a, b, c = self
+        x, y, z = other
+        return tuple.__new__(HeisenbergElement, (a + x, b + y, c + z + a * y))
 
     def inverse(self) -> "HeisenbergElement":
         return HeisenbergElement(-self.a, -self.b, -self.c + self.a * self.b)
@@ -94,14 +95,17 @@ class GeneratedGroup:
 
     ``generators`` never contains the identity and is closed under
     inverses; use :meth:`closure` to build one from an arbitrary list.
+    ``words``, if set, is the same group in normal form (`DeckGroup.words`),
+    generators in the same order: word balls search there, on int tuples.
     """
 
     identity: object
     generators: tuple
     name: str = ""
+    words: Optional["GeneratedGroup"] = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def closure(cls, identity, generators: Iterable, name: str = "") -> "GeneratedGroup":
+    def closure(cls, identity, generators: Iterable, name: str = "", words=None) -> "GeneratedGroup":
         out = []
         seen = set()
         for g in generators:
@@ -110,11 +114,14 @@ class GeneratedGroup:
                     continue
                 seen.add(h)
                 out.append(h)
-        return cls(identity=identity, generators=tuple(out), name=name)
+        return cls(identity=identity, generators=tuple(out), name=name, words=words)
 
 
 def word_ball(group: GeneratedGroup, radius: int, cap: Optional[int] = None) -> Dict[object, int]:
-    """Map each element of word length <= radius to its word length."""
+    """Map each element of word length <= radius to its word length; on a
+    ``words`` twin when there is one, each word mapped back in order."""
+    if group.words is not None:
+        return {w.isometry(): d for w, d in word_ball(group.words, radius, cap=cap).items()}
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     limit = enumeration_cap() if cap is None else cap
@@ -140,8 +147,8 @@ def word_ball(group: GeneratedGroup, radius: int, cap: Optional[int] = None) -> 
 
 
 def word_ball_counts(group: GeneratedGroup, max_radius: int, cap: Optional[int] = None) -> List[int]:
-    """Cumulative word-ball sizes [#W(0), #W(1), ..., #W(max_radius)]."""
-    lengths = word_ball(group, max_radius, cap=cap)
+    """Cumulative word-ball sizes [#W(0), ..., #W(max_radius)], on the ``words`` twin if any."""
+    lengths = word_ball(group.words or group, max_radius, cap=cap)
     counts = [0] * (max_radius + 1)
     for depth in lengths.values():
         counts[depth] += 1
@@ -154,7 +161,12 @@ def word_ball_counts(group: GeneratedGroup, max_radius: int, cap: Optional[int] 
 
 
 def word_length(group: GeneratedGroup, element, cap: Optional[int] = None) -> int:
-    """Least number of generators multiplying to ``element``."""
+    """Least number of generators multiplying to ``element``; searched on
+    the ``words`` twin when there is one, which refuses a foreign element."""
+    if group.words is not None:
+        group, element = group.words, group.words.identity.kernel.normal_form(element)
+        if element is None:
+            raise NotFoundWithinCap("element is not in the deck group")
     limit = enumeration_cap() if cap is None else cap
     if element == group.identity:
         return 0
@@ -713,8 +725,9 @@ class DeckGroup:
         return gens
 
     def generated(self) -> GeneratedGroup:
+        """The word generators' isometry group, carrying its `words` twin."""
         return GeneratedGroup.closure(
-            Isometry.identity(self.dimension), self._generators(), name=self.name
+            Isometry.identity(self.dimension), self._generators(), name=self.name, words=self.words()
         )
 
     def words(self) -> Optional[GeneratedGroup]:
@@ -725,6 +738,7 @@ class DeckGroup:
         gens = [nf(g) for g in self._generators()]
         if any(g is None for g in gens):
             return None
+        self._kernel.products  # the one table built from isometries; word products then build none
         return GeneratedGroup.closure(nf(Isometry.identity(self.dimension)), gens, name=self.name)
 
     def word_displacements(self, x: Point) -> Tuple[int, Callable[[DeckWord], int]]:
@@ -740,19 +754,12 @@ class DeckGroup:
 
         return den * den, disp
 
-    def _hits(self, x: Point, y: Point, limit: Callable[[int], int]) -> List[OrbitHit]:
-        """The g = rep * t_v with |g(y) - x|^2 = q / scale and q <= limit(scale),
-        sorted by (|g(y) - x|^2, g(y), g.sort_key()).
-
-        The one loop over coset representatives times a lattice scan, in
-        integers from the kept coordinates m: with A y + b and A B^T m over
-        one common denominator G (`_Kernel.affine`), image G g(y) and
-        translation G (A v + b) are integer vectors, and each scan's q
-        rescales to one common distance scale. Hits sort on those
-        integers; only runs whose distance and image tie exactly fall back
-        to ``sort_key``. Each hit then builds one Isometry (A, A v + b) and
-        one Point, from Fractions shared within the call.
-        """
+    def _records(self, x: Point, y: Point, limit: Callable[[int], int]) -> Tuple[int, int, List[tuple]]:
+        """(scale, den, sorted records (q, den g(y), den (A v + b), c, m)) for
+        the g = rep_c * t_v, v with lattice coordinates m, with |g(y) - x|^2 =
+        q / scale and q <= limit(scale): the one loop of coset representatives
+        times a lattice scan, over one common denominator (`_Kernel.affine`)
+        and one distance scale. Equal images sort next to each other."""
         if y.dimension != self.dimension:
             raise DimensionMismatch("isometry and point dimensions disagree")
         kern, lattice, reps = self._kernel, self.lattice, self.coset_reps
@@ -766,8 +773,16 @@ class DeckGroup:
             rescale = scale // quad.scale
             for q, m in lattice._enumerate(quad, limit(quad.scale)):
                 km = _mat_ints(kmat, m)
-                records.append((q * rescale, tuple(map(add, image0, km)), tuple(map(add, shift, km)), c))
+                records.append((q * rescale, tuple(map(add, image0, km)), tuple(map(add, shift, km)), c, m))
         records.sort()
+        return scale, den, records
+
+    def _hits(self, x: Point, y: Point, limit: Callable[[int], int]) -> List[OrbitHit]:
+        """`_records` as hits sorted by (|g(y) - x|^2, g(y), g.sort_key()): one
+        Isometry (A, A v + b) and one Point each, from Fractions shared within
+        the call; only runs tied on distance and image re-sort by ``sort_key``."""
+        scale, den, records = self._records(x, y, limit)
+        reps = self.coset_reps
         coord, dist = _Fractions(den), _Fractions(scale)
         hits = [
             OrbitHit(
@@ -775,7 +790,7 @@ class DeckGroup:
                 Point(tuple(map(coord.__getitem__, image))),
                 dist[key],
             )
-            for key, image, t, c in records
+            for key, image, t, c, _ in records
         ]
         start = 0
         for i in range(1, len(records) + 1):
@@ -818,12 +833,8 @@ def _reflection_first_axis(n: int, shift: Sequence) -> Isometry:
 
 
 def zk_group(k: int) -> GeneratedGroup:
-    gens = []
-    for i in range(k):
-        shift = [Fraction(0)] * k
-        shift[i] = Fraction(1)
-        gens.append(Isometry.translation_by(shift))
-    return GeneratedGroup.closure(Isometry.identity(k), gens, name=f"z{k}")
+    """Z^k generated by the unit translations, with its normal-form twin."""
+    return zk_deck(k).generated()
 
 
 def zk_deck(k: int) -> DeckGroup:

@@ -19,6 +19,7 @@ from . import algebra
 from .errors import InconsistentCosets, InsufficientSamples
 from .euclid import Isometry, Point, frac, leq_radius_plus_sqrt
 from .groups import DeckGroup, DeckWord, GeneratedGroup, word_ball, word_ball_counts
+from .groups import _ball_limit, _plus_sqrt_limit
 
 
 def fit_power_law(radii: Sequence[float], counts: Sequence[float]) -> Tuple[float, float]:
@@ -83,14 +84,22 @@ def image_counts(hits, radii_sq: Sequence) -> List[int]:
     return [bisect.bisect_right(dists, r2) for r2 in radii_sq]
 
 
+def _image_qs(records) -> List[int]:
+    """`_image_dists` for `DeckGroup._records`: the sorted q of the distinct images."""
+    return [r[0] for i, r in enumerate(records) if not i or r[1] != records[i - 1][1]]
+
+
 def ball_counts(deck: DeckGroup, x: Point, radii_sq: Sequence) -> List[int]:
     """Distinct orbit points of x in the closed ball of each squared radius.
 
-    One enumeration at the largest squared radius, then exact bucketing;
-    a squared radius need not be a perfect square (h^2 r^2 in Milnor).
+    One integer scan at the largest squared radius (`DeckGroup._records`, no
+    isometry or point per hit), then each distinct image's q bucketed against
+    r^2 * scale; r^2 need not be a perfect square (h^2 r^2 in Milnor).
     """
     rs2 = [frac(v) for v in radii_sq]
-    return image_counts(deck.enumerate_orbit(x, max(rs2, default=0)), rs2)
+    scale, _, records = deck._records(x, x, _ball_limit(max(rs2, default=Fraction(0))))
+    qs = _image_qs(records)
+    return [bisect.bisect_right(qs, _ball_limit(r2)(scale)) for r2 in rs2]
 
 
 def orbit_ball_count(deck: DeckGroup, x: Point, radius) -> int:
@@ -101,9 +110,12 @@ def orbit_ball_count(deck: DeckGroup, x: Point, radius) -> int:
 
 def orbit_growth(deck: DeckGroup, x: Point, radii: Sequence) -> GrowthSeries:
     rs = sorted(frac(v) for v in radii)
+    # counted over hits, not records: perfbench/test_harness.py probes the
+    # tracer's enumerate_orbit and Isometry wrappers through this function
+    rs2 = [r * r for r in rs]
     return GrowthSeries(
         radii=tuple(float(r) for r in rs),
-        counts=tuple(ball_counts(deck, x, [r * r for r in rs])),
+        counts=tuple(image_counts(deck.enumerate_orbit(x, max(rs2, default=Fraction(0))), rs2)),
         label=deck.name or "orbit",
     )
 
@@ -150,12 +162,9 @@ def milnor_check(
 ) -> MilnorReport:
     # the word ball runs on normal forms (int tuples), with displacements
     # in integers, unless a word generator lies outside the deck
-    group = deck.words()
-    if group is not None:
-        scale, disp = deck.word_displacements(x)
-    else:
-        group, scale = deck.generated(), 1
-        disp = lambda g: g.displacement_sq(x)  # noqa: E731
+    group = deck.generated()
+    scale, disp = deck.word_displacements(x) if group.words else (1, lambda g: g.displacement_sq(x))
+    group = group.words or group
     h_int = max((disp(g) for g in group.generators), default=0)
     if h_int == 0:
         raise ValueError("every generator fixes the base point; no displacement bound")
@@ -314,26 +323,27 @@ def finite_index_comparison(
 
     rs = sorted(int(r) for r in radii)
     # factorization sanity on the largest whole-group ball: each element
-    # must land in exactly one right coset of the subgroup
-    whole_hits = whole.enumerate_orbit(x, rs[-1] * rs[-1])
+    # must land in exactly one right coset of the subgroup (in normal form)
+    scale, _, whole_records = whole._records(x, x, _ball_limit(frac(rs[-1] * rs[-1])))
     inside = _membership(whole, sub)
     k_inverses = [whole.normal_form(k.inverse()) for k in transversal]
-    for hit in whole_hits:
-        g = whole.normal_form(hit.element)
+    for *_, c, m in whole_records:
+        g = DeckWord(c, m, whole._kernel)
         matches = sum(1 for k in k_inverses if inside(g * k))
         if matches != 1:
             raise InconsistentCosets(
                 f"element matched {matches} transversal cosets instead of one"
             )
 
-    # one enumeration per group at the outermost radius, then exact bucketing
-    whole_dists = _image_dists(whole_hits)
-    sub_dists = _image_dists(sub.enumerate_orbit_plus_sqrt(x, rs[-1], r0_sq))
+    # one scan per group at the outermost radius, then exact bucketing
+    whole_qs = _image_qs(whole_records)
+    sub_scale, _, sub_records = sub._records(x, x, _plus_sqrt_limit(frac(rs[-1]), r0_sq))
+    sub_qs = _image_qs(sub_records)
     rows = []
     for r in rs:
-        whole_count = bisect.bisect_right(whole_dists, r * r)
+        whole_count = bisect.bisect_right(whole_qs, r * r * scale)
         sub_count = bisect.bisect_left(
-            sub_dists, True, key=lambda d2: not leq_radius_plus_sqrt(d2, r, r0_sq)
+            sub_qs, True, key=lambda q: not leq_radius_plus_sqrt(Fraction(q, sub_scale), r, r0_sq)
         )
         bound = index * sub_count
         rows.append(IndexRow(r, whole_count, sub_count, bound, whole_count <= bound))

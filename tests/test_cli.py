@@ -394,6 +394,25 @@ def test_alias_spelling_still_beats_config(capsys):
     assert doc["base"] == ["0", "3/10"]
 
 
+@pytest.mark.parametrize("flag", [["--sam", "2000"], ["--sam=2000"], ["--samples", "2000"]])
+def test_abbreviated_flag_beats_config(capsys, flag):
+    # argparse reads --sam as --samples, so the config must not override it
+    code, doc = run_json(
+        capsys,
+        "thin-set", "--space", "cylinder2", "--h", "1", "--radii", "4", *flag,
+        "--config", "samples=3000",
+    )
+    assert code == 0 and doc["samples"] == 2000
+
+
+def test_ambiguous_prefix_names_no_option():
+    options = cli._options("thin-set")
+    assert cli._flagged(["thin-set", "--sa", "1", "--ba=0,0", "--h", "1"], options) == {
+        "samples", "base", "thickness"}
+    # --s could be --samples, --seed or --space
+    assert cli._flagged(["--s", "--", "-1", "--nope"], options) == set()
+
+
 def test_config_global_key_skipped_where_inapplicable(capsys):
     code, doc = run_json(capsys, "soul-dim", "--space", "torus2", "--config", "seed=3")
     assert code == 0

@@ -8,10 +8,13 @@ generators check that products keep exactly orthogonal parts without
 re-validation, and that input matrices are still checked where they
 enter. Orbit-ball counts and nearest lifts are checked against a plain
 scan of a box of lattice coordinates, the integer lattice scan against
-a Fraction scan of a coordinate box (deck lattices and random skewed
-ones), the orbit hits against the composed rep * t_v construction over
-that Fraction scan, normal-form products, inverses, word balls and
-subgroup membership against the same on isometries, and ray scales
+a scan of a coordinate box in an LLL-reduced basis (deck lattices and
+random skewed ones), the orbit hits against the composed rep * t_v
+construction over that box scan, the integer-record orbit counts and
+finite-index rows against the same counted over hits, normal-form
+products, inverses, word balls and subgroup membership against the same
+on isometries (word balls against a plain composition search), the
+counting paths against building any isometry, and ray scales
 against the first deck element of a box scan that cuts the ray. The warped grid solver, which
 floods only the r >= 0 half of a symmetric grid, or only the rows within
 a given reach of its centre, is checked bit for bit against a plain
@@ -23,12 +26,14 @@ for bit against a loop over its cells, and the integer-keyed orbit cloud
 against the same cloud sorted and converted as Fractions.
 """
 
+import bisect
 import contextlib
 import heapq
 import io
 import itertools
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -55,10 +60,17 @@ from orbitlab.euclid import (
     vec_dot,
     vec_sub,
 )
-from orbitlab.errors import CapExceeded, InconsistentCosets
+from orbitlab.errors import CapExceeded, InconsistentCosets, NotFoundWithinCap
 from orbitlab.flatgeo import _kernel_basis, nearest_lifts
 from orbitlab.groups import DECK_GROUP_NAMES, builtin_deck_group
-from orbitlab.orbit import _membership, ball_counts, translation_subgroup
+from orbitlab.orbit import (
+    _image_dists,
+    _membership,
+    ball_counts,
+    finite_index_comparison,
+    subgroup_index,
+    translation_subgroup,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import decks  # noqa: E402
@@ -248,26 +260,71 @@ def test_nearest_lifts_match_a_box_scan(name, data):
     assert nearest_lifts(deck, center, target) == (best, [Point(p) for p in minimisers])
 
 
+def _lll(rows):
+    """(R, U) with R = U rows an LLL-reduced basis (delta 3/4) and U
+    unimodular: textbook LLL in exact arithmetic, Gram-Schmidt recomputed
+    at each step, which is plenty for rank 3."""
+    b = [list(r) for r in rows]
+    u = [[int(i == j) for j in range(len(b))] for i in range(len(b))]
+
+    def gram_schmidt():
+        stars, mu = [], [[Fraction(0)] * len(b) for _ in b]
+        for i, bi in enumerate(b):
+            v = [Fraction(x) for x in bi]
+            for j, bj in enumerate(stars):
+                mu[i][j] = vec_dot(bi, bj) / vec_dot(bj, bj)
+                v = [x - mu[i][j] * y for x, y in zip(v, bj)]
+            stars.append(v)
+        return stars, mu
+
+    i = 1
+    while i < len(b):
+        for j in range(i - 1, -1, -1):
+            c = round(gram_schmidt()[1][i][j])
+            b[i] = [x - c * y for x, y in zip(b[i], b[j])]
+            u[i] = [x - c * y for x, y in zip(u[i], u[j])]
+        stars, mu = gram_schmidt()
+        if vec_dot(stars[i], stars[i]) >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * vec_dot(
+                stars[i - 1], stars[i - 1]):
+            i += 1
+        else:
+            b[i - 1], b[i] = b[i], b[i - 1]
+            u[i - 1], u[i] = u[i], u[i - 1]
+            i = max(i - 1, 1)
+    return b, u
+
+
 def _box_lattice_points(lattice, w, reach, keep):
     """(coords, vector, |v - w|^2) of every lattice vector v with
-    keep(|v - w|^2), sorted by (distance, coords), from a plain Fraction
-    scan of a box of coordinates: every v within ``reach`` of w has
-    |m_j - a_j| <= reach * sqrt(Gram^-1_jj), a the coordinates of w's
-    projection onto the span."""
+    keep(|v - w|^2), sorted by (distance, coords), from a plain scan of a
+    box of coordinates in an LLL-reduced basis R = U B: every v = n R
+    within ``reach`` of w has |n_j - a_j| <= reach * sqrt(G_R^-1_jj), a
+    the R-coordinates of w's projection onto the span, and its
+    coordinates in the lattice's own basis are m = n U. Norms are
+    integers over one denominator; only points a float bound cannot
+    exclude get the exact Fraction test ``keep``."""
     w = tuple(Fraction(x) for x in w)
-    ginv = lattice.gram_inverse
-    a = mat_vec(ginv, tuple(vec_dot(b, w) for b in lattice.basis))
+    e = math.lcm(*(x.denominator for x in w))
+    basis, d = lattice.int_basis
+    reduced, unimodular = _lll(basis)
+    ginv = mat_inverse([[Fraction(vec_dot(ri, rj), d * d) for rj in reduced] for ri in reduced])
+    a = mat_vec(ginv, tuple(vec_dot(r, w) / d for r in reduced))
     ranges = []
     for j, aj in enumerate(a):
         half = reach * math.sqrt(float(ginv[j][j])) + 1
         ranges.append(range(math.floor(aj - half), math.ceil(aj + half) + 1))
+    # (d e)^2 |v - w|^2 = |e n R - d W|^2 with W = e w
+    target = [d * x.numerator * (e // x.denominator) for x in w]
+    scale = (d * e) ** 2
+    bound = (reach * (1 + 1e-9) + 1e-9) ** 2 * scale
     out = []
-    for m in itertools.product(*ranges):
-        v = lattice.vector(m) if m else tuple(Fraction(0) for _ in w)
-        d = vec_sub(v, w)
-        d2 = vec_dot(d, d)
-        if keep(d2):
-            out.append((m, v, d2))
+    for n in itertools.product(*ranges):
+        diff = [e * sum(map(operator.mul, n, col)) - t for col, t in zip(zip(*reduced), target)] \
+            if n else [-t for t in target]
+        q = sum(x * x for x in diff)
+        if q <= bound and keep(Fraction(q, scale)):
+            m = tuple(sum(map(operator.mul, n, col)) for col in zip(*unimodular))
+            out.append((m, lattice.vector(m) if m else tuple(Fraction(0) for _ in w), Fraction(q, scale)))
     return sorted(out, key=lambda p: (p[2], p[0]))
 
 
@@ -358,7 +415,7 @@ def test_integer_scan_matches_a_fraction_box_scan(lattice, data):
     ginv = lattice.gram_inverse
     a = mat_vec(ginv, tuple(vec_dot(b, w) for b in lattice.basis))
     d = vec_sub(lattice.vector([round(x) for x in a]), w)
-    near = _box_lattice_points(lattice, w, math.sqrt(vec_dot(d, d)), lambda d2: True)
+    near = _box_lattice_points(lattice, w, math.sqrt(vec_dot(d, d)), lambda d2: d2 <= vec_dot(d, d))
     assert lattice.nearest_dist_sq(w) == near[0][2]
 
 
@@ -410,18 +467,74 @@ def test_normal_forms_multiply_and_invert_like_isometries(name, data):
         nf(outsider)
 
 
+def _isometry_word_ball(identity, generators, radius):
+    """(closed generators, ball): the generators closed under inverses and
+    a breadth-first word ball by plain Isometry composition, as `word_ball`
+    ran before groups carried a normal-form twin."""
+    gens = []
+    for g in generators:
+        for h in (g, g.inverse()):
+            if h != identity and h not in gens:
+                gens.append(h)
+    lengths, frontier = {identity: 0}, [identity]
+    for depth in range(1, radius + 1):
+        grown = []
+        for g in frontier:
+            for s in gens:
+                h = g * s
+                if h not in lengths:
+                    lengths[h] = depth
+                    grown.append(h)
+        frontier = grown
+    return gens, lengths
+
+
+def _cumulative(lengths, radius):
+    return [sum(1 for d in lengths.values() if d <= r) for r in range(radius + 1)]
+
+
 @pytest.mark.parametrize("name", KERNEL_DECKS)
 def test_word_balls_in_normal_form_match_isometry_word_balls(name):
     deck = decks.deck(name)
-    assert [w.isometry() for w in deck.words().generators] == list(deck.generated().generators)
     radius = 2 if name == "p4m" else 4
-    plain = groups.word_ball(deck.generated(), radius)
+    gens, plain = _isometry_word_ball(Isometry.identity(deck.dimension), deck._generators(), radius)
+    group = deck.generated()
+    assert list(group.generators) == gens
+    assert [w.isometry() for w in deck.words().generators] == gens
     words = groups.word_ball(deck.words(), radius)
-    # the same elements, found in the same order
+    # the same elements, found in the same order, on either route
     assert [(w.isometry(), d) for w, d in words.items()] == list(plain.items())
+    assert list(groups.word_ball(group, radius).items()) == list(plain.items())
+    assert groups.word_ball_counts(group, radius) == _cumulative(plain, radius)
     x = Point(tuple(Fraction(k + 1, 7) for k in range(deck.dimension)))
     scale, disp = deck.word_displacements(x)
     assert all(Fraction(disp(w), scale) == w.isometry().displacement_sq(x) for w in words)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_zk_group_keeps_its_unit_translations_and_balls(k):
+    units = [Isometry.translation_by([int(i == j) for j in range(k)]) for i in range(k)]
+    gens, plain = _isometry_word_ball(Isometry.identity(k), units, 3)
+    group = groups.zk_group(k)
+    assert list(group.generators) == gens and group.words is not None
+    assert list(groups.word_ball(group, 3).items()) == list(plain.items())
+    assert groups.word_ball_counts(group, 3) == _cumulative(plain, 3)
+    assert groups.word_length(group, Isometry.translation_by([3] + [-2] * (k - 1))) == 3 + 2 * (k - 1)
+    with pytest.raises(NotFoundWithinCap):  # outside the deck group, refused without a search
+        groups.word_length(group, Isometry.translation_by([Fraction(1, 2)] * k), cap=10)
+
+
+def test_counting_paths_build_no_isometry(monkeypatch):
+    group = groups.zk_group(3)
+    torus = builtin_deck_group("torus2")
+    built = []
+    init = Isometry.__init__
+    monkeypatch.setattr(Isometry, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    cube = list(itertools.product(range(-7, 8), repeat=3))
+    assert groups.word_ball_counts(group, 7) == [
+        sum(1 for v in cube if sum(map(abs, v)) <= r) for r in range(8)]
+    assert ball_counts(torus, Point((Fraction(1, 3), Fraction(1, 7))), [1, 4, 25]) == [5, 13, 81]
+    assert built == []
 
 
 MEMBERSHIP_PAIRS = [(name, None) for name in KERNEL_DECKS] + [
@@ -437,6 +550,29 @@ def test_subgroup_membership_in_normal_form(whole_name, sub_name, data):
     inside = _membership(whole, sub)
     g = _random_word(data, whole)
     assert inside(whole.normal_form(g)) == (g in sub)
+
+
+@pytest.mark.parametrize("whole_name,sub_name", MEMBERSHIP_PAIRS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_record_counts_match_counts_over_hits(whole_name, sub_name, data):
+    whole = decks.deck(whole_name)
+    sub = translation_subgroup(whole) if sub_name is None else decks.SUBGROUPS[sub_name][1]()
+    x = data.draw(points_in(whole.dimension))
+    radii_sq = data.draw(st.lists(
+        st.fractions(min_value=0, max_value=12, max_denominator=9), min_size=1, max_size=4))
+    dists = _image_dists(whole.enumerate_orbit(x, max(radii_sq)))
+    assert ball_counts(whole, x, radii_sq) == [bisect.bisect_right(dists, r2) for r2 in radii_sq]
+
+    radii = sorted(set(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))))
+    report = finite_index_comparison(whole, sub, x, radii)
+    r0_sq = report.slack_dist_sq
+    assert report.index == subgroup_index(whole, sub)
+    whole_dists = _image_dists(whole.enumerate_orbit(x, radii[-1] ** 2))
+    sub_dists = _image_dists(sub.enumerate_orbit_plus_sqrt(x, radii[-1], r0_sq))
+    want = [(r, bisect.bisect_right(whole_dists, r * r),
+             sum(1 for d2 in sub_dists if leq_radius_plus_sqrt(d2, r, r0_sq))) for r in radii]
+    assert [(row.radius, row.whole_count, row.subgroup_count_extended) for row in report.rows] == want
 
 
 def test_verify_dual_enumerates_once(monkeypatch):
