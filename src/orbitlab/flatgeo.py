@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +38,7 @@ from .euclid import (
     vec_dot,
     vec_sub,
 )
-from .groups import DeckGroup, OrbitHit, word_ball_counts
+from .groups import DeckGroup, OrbitHit, _ball_limit, _ints, _plus_sqrt_limit, word_ball_counts
 from .orbit import image_counts
 
 BASE_POINTS: Dict[str, Point] = {
@@ -96,11 +97,11 @@ def dirichlet_contains(deck: DeckGroup, center: Point, p: Point) -> bool:
 
 
 def nearest_lifts(deck: DeckGroup, center: Point, target: Point) -> Tuple[Fraction, List[Point]]:
-    """Orbit points of ``target`` closest to ``center``: (min dist^2, lifts)."""
+    """Orbit points of ``target`` closest to ``center``: (min dist^2, lifts),
+    the distinct integer images of `DeckGroup._records` within that minimum."""
     best = deck.quotient_dist_sq(center, target)
-    # best is the exact minimum, so every lift within it attains it
-    uniq = sorted({tuple(h.image) for h in deck.lifts_near(center, target, best)})
-    return best, [Point(c) for c in uniq]
+    _, den, records = deck._records(center, target, _ball_limit(best))
+    return best, [Point(tuple(Fraction(v, den) for v in im)) for im in sorted({r[1] for r in records})]
 
 
 # ---------------------------------------------------------------------------
@@ -150,21 +151,27 @@ class ExtensionReport:
         return self.tie or (not self.infinite and self.extension_sq <= hh * hh)
 
 
-def _ray_setup(center: Point, nearest: Tuple[Fraction, List[Point]]):
-    """(d, |d|^2, tie) from `nearest_lifts`' result: d points from the
-    center to the first nearest lift, and a tie means several lifts."""
+def _ray_setup(deck: DeckGroup, center: Point, nearest: Tuple[Fraction, List[Point]]):
+    """(d, |d|^2, tie, (e, [U_c])) from `nearest_lifts`' result: d points to
+    the first nearest lift, a tie means several lifts, and U_c = e A_c d, in
+    integers over one e, is what every element of coset c reads its slope from."""
     d2, lifts = nearest
     if d2 == 0:
         raise ValueError("target lies on the orbit of the center; no ray direction")
-    return vec_sub(tuple(lifts[0]), tuple(center)), d2, len(lifts) > 1
+    d = vec_sub(tuple(lifts[0]), tuple(center))
+    vs = [mat_vec(rep.orthogonal, d) for rep in deck.coset_reps]
+    e = math.lcm(*(x.denominator for v in vs for x in v))
+    return d, d2, len(lifts) > 1, (e, [_ints(v, e) for v in vs])
 
 
-def _coset_slopes(deck: DeckGroup, center: Point, d: Sequence[Fraction]) -> List[Fraction]:
-    slopes = []
-    for rep in deck.coset_reps:
-        c = vec_sub(tuple(rep(center)), tuple(center))
-        slopes.append(vec_dot(c, mat_vec(rep.orthogonal, d)))
-    return slopes
+def _slopes(deck: DeckGroup, center: Point, e: int, us, limit: Callable[[int], int]):
+    """(E, scale, pairs), a pair (q, S) per record of the center's orbit window:
+    |g(x) - x|^2 = q / scale, slope <g(x) - x, A_c d> = S / E with
+    S = <den g(x) - den x, U_c> and E = den e, binding at q E / (2 scale (-S)) if S < 0."""
+    scale, den, records = deck._records(center, center, limit)
+    x = _ints(tuple(center), den)
+    xu = [sum(map(mul, x, u)) for u in us]
+    return den * e, scale, ((q, sum(map(mul, image, us[c])) - xu[c]) for q, image, _, c, _ in records)
 
 
 def ray_extension(
@@ -186,40 +193,38 @@ def ray_extension(
     an element binds the window doubles from 2(|d| + 1), at most
     ``max_doublings`` enumerations in all.
 
+    Windows are scanned as integer records (`_slopes`), the least t kept by
+    cross-multiplication; only its best t becomes a Fraction, no element an Isometry.
+
     ``nearest`` is ``nearest_lifts(deck, center, target)`` when the
     caller already has it.
     """
     if nearest is None:
         nearest = nearest_lifts(deck, center, target)
-    d, d2, tie = _ray_setup(center, nearest)
+    d, d2, tie, slopes = _ray_setup(deck, center, nearest)
     if tie:
         return ExtensionReport(d2, Fraction(1), Fraction(0), infinite=False, tie=True)
 
-    if deck.lattice.orthogonal_to_span(d):
-        if all(s >= 0 for s in _coset_slopes(deck, center, d)):
-            return ExtensionReport(d2, None, None, infinite=True, tie=False)
+    c = tuple(center)
+    if deck.lattice.orthogonal_to_span(d) and all(
+            vec_dot(vec_sub(tuple(rep(center)), c), u) >= 0 for rep, u in zip(deck.coset_reps, slopes[1])):
+        return ExtensionReport(d2, None, None, infinite=True, tie=False)
 
     rho2 = 4 * (sqrt_upper(d2) + 1) ** 2
-    best_t: Optional[Fraction] = None
     for _ in range(max_doublings):
-        for hit in deck.enumerate_orbit(center, rho2):
-            if hit.dist_sq == 0:
-                continue
-            c = vec_sub(tuple(hit.image), tuple(center))
-            slope = vec_dot(c, mat_vec(hit.element.orthogonal, d))
-            if slope < 0:
-                t = hit.dist_sq / (-2 * slope)
-                if best_t is None or t < best_t:
-                    best_t = t
-        if best_t is None:
+        big, scale, pairs = _slopes(deck, center, *slopes, _ball_limit(rho2))
+        best = None  # (q, -S) of the least t = q / -S so far, up to the factor E / (2 scale)
+        for q, s in pairs:
+            if s < 0 and (best is None or q * best[1] < best[0] * -s):
+                best = (q, -s)
+        if best is None:
             rho2 *= 4
             continue
+        best_t = Fraction(best[0] * big, 2 * scale * best[1])
         certificate = 4 * best_t * best_t * d2
         if certificate <= rho2:
-            ext_sq = (best_t - 1) * (best_t - 1) * d2
-            return ExtensionReport(
-                d2, best_t, ext_sq, infinite=False, tie=(best_t == 1), search_radius_sq=rho2
-            )
+            return ExtensionReport(d2, best_t, (best_t - 1) ** 2 * d2, infinite=False, tie=(best_t == 1),
+                                   search_radius_sq=rho2)
         rho2 = certificate
     raise CapExceeded("extension search did not stabilize", limit=max_doublings)
 
@@ -230,26 +235,21 @@ def extension_at_most(deck: DeckGroup, center: Point, target: Point, h) -> bool:
     Decided by one bounded enumeration: a binding element u certifies
     YES when its constraint distance t_u*|d| is at most |d| + h, and any
     element displaced farther than 2(|d| + h) cannot beat that bound.
+    The window and the bound are integer, as in `ray_extension`.
     """
     hh = frac(h)
     if hh < 0:
         raise ValueError("h must be nonnegative")
-    d, d2, tie = _ray_setup(center, nearest_lifts(deck, center, target))
+    _, d2, tie, slopes = _ray_setup(deck, center, nearest_lifts(deck, center, target))
     if tie:
         return True
-    hits = deck.enumerate_orbit_plus_sqrt(center, 2 * hh, 4 * d2)
-    for hit in hits:
-        if hit.dist_sq == 0:
-            continue
-        c = vec_sub(tuple(hit.image), tuple(center))
-        slope = vec_dot(c, mat_vec(hit.element.orthogonal, d))
-        if slope >= 0:
-            continue
-        # t_u*|d| <= |d| + h  <=>  sqrt(d2)*K <= -2*slope*h, K = |c|^2 + 2*slope
-        k = hit.dist_sq + 2 * slope
-        if k <= 0:
-            return True
-        if d2 * k * k <= 4 * slope * slope * hh * hh:
+    big, scale, pairs = _slopes(deck, center, *slopes, _plus_sqrt_limit(2 * hh, 4 * d2))
+    # t_u*|d| <= |d| + h  <=>  sqrt(d2)*k <= -2*slope*h, k = |c|^2 + 2*slope = K / (scale E)
+    lhs = d2.numerator * hh.denominator ** 2
+    rhs = 4 * (scale * hh.numerator) ** 2 * d2.denominator
+    for q, s in pairs:
+        k = q * big + 2 * s * scale
+        if s < 0 and (k <= 0 or lhs * k * k <= rhs * s * s):
             return True
     return False
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import floor, isqrt, lcm
 from operator import add, mul, sub
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -853,13 +853,10 @@ def heisenberg_group() -> GeneratedGroup:
 
 
 def builtin_generated_group(name: str) -> GeneratedGroup:
-    if name in ("z1", "z2", "z3"):
-        return zk_group(int(name[1]))
     if name == "heisenberg":
         return heisenberg_group()
-    deck = _BUILTIN_DECKS.get(name)
-    if deck is not None:
-        return deck().generated()
+    if name in GENERATED_GROUP_NAMES:
+        return builtin_deck_group(name).generated()
     raise KeyError(f"unknown group {name!r}; choose from {sorted(GENERATED_GROUP_NAMES)}")
 
 
@@ -938,12 +935,14 @@ DECK_GROUP_NAMES = tuple(sorted(_BUILTIN_DECKS))
 GENERATED_GROUP_NAMES = ("z1", "z2", "z3", "heisenberg") + DECK_GROUP_NAMES
 
 
+@cache
 def builtin_deck_group(name: str) -> DeckGroup:
+    """The bundled deck group ``name`` (z1-z3 too), built and validated once
+    per process and then shared, frozen: a gain for command streams in one
+    process, none for a one-shot CLI call. ORBITLAB_CAP is read per scan."""
     if name in ("z1", "z2", "z3"):
         return zk_deck(int(name[1]))
     try:
         return _BUILTIN_DECKS[name]()
     except KeyError:
-        raise KeyError(
-            f"unknown deck group {name!r}; choose from {sorted(DECK_GROUP_NAMES)}"
-        ) from None
+        raise KeyError(f"unknown deck group {name!r}; choose from {sorted(DECK_GROUP_NAMES)}") from None

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -494,9 +495,10 @@ def test_suite_report_matches_the_recorded_one(capsys, case):
 # ---------------------------------------------------------------------------
 # one parser per process
 
-# mixed subcommands, --config then none, --timings then none, csv then
-# json, an argparse usage error and a ValueError one; each must print as
-# it does in a fresh process
+# mixed subcommands over every --space, --config then none, --timings then
+# none, csv then json, an argparse usage error and a ValueError one; each
+# must print as it does in a fresh process, whether its deck group is
+# built by the call or already memoised by an earlier one
 REUSE_SEQUENCE = [
     ("orbit-count", "--space", "moebius2", "--radii", "1,2", "--config", "base=1/2,1/4"),
     ("orbit-count", "--space", "moebius2", "--radii", "1,2"),
@@ -505,6 +507,10 @@ REUSE_SEQUENCE = [
     ("dirichlet", "--space", "torus2"),
     ("dirichlet", "--space", "klein2", "--point", "3/4,1/3", "--within", "1/4"),
     ("soul-dim", "--space", "torus2", "--config", "wibble=3"),
+    ("dirichlet", "--space", "moebiusxT", "--point", "1/2,7/4,1/9", "--within", "1"),
+    ("orbit-count", "--space", "cylinder2", "--radii", "1,2,3"),
+    ("milnor-check", "--space", "z3", "--radii", "1,2"),
+    ("orbit-count", "--space", "z1", "--radii", "1,2"),
 ]
 
 
@@ -528,6 +534,7 @@ def test_one_parser_serves_every_call_as_a_fresh_process(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "build_parser", counted)
     cli._parser.cache_clear()
+    groups.builtin_deck_group.cache_clear()
     try:
         in_process = []
         for argv in REUSE_SEQUENCE:
@@ -541,5 +548,20 @@ def test_one_parser_serves_every_call_as_a_fresh_process(capsys, monkeypatch):
         assert cli._parser().parse_args(["soul-dim", "--space", "torus2"]).config == []
     finally:
         cli._parser.cache_clear()
-    assert [c for c, _, _ in in_process] == [0, 0, 0, 0, 2, 0, 2]
-    assert in_process == [_run_alone(argv) for argv in REUSE_SEQUENCE]
+    assert [c for c, _, _ in in_process] == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0]
+    assert {argv[2] for argv in REUSE_SEQUENCE} == set(cli.SPACE_CHOICES)
+    with ThreadPoolExecutor(max_workers=2) as pool:  # two fresh processes at a time
+        assert in_process == list(pool.map(_run_alone, REUSE_SEQUENCE))
+
+
+def test_each_deck_group_is_built_once_per_process(capsys, monkeypatch):
+    names = groups.DECK_GROUP_NAMES + ("z1", "z2", "z3")
+    decks = {name: groups.builtin_deck_group(name) for name in names}
+    assert all(groups.builtin_deck_group(name) is deck for name, deck in decks.items())
+    assert run(capsys, "orbit-count", "--space", "torus2", "--radii", "10")[0] == 0
+    # ORBITLAB_CAP is read at each scan, so a memoised deck still refuses
+    monkeypatch.setenv("ORBITLAB_CAP", "10")
+    code, out, _ = run(capsys, "orbit-count", "--space", "torus2", "--radii", "10")
+    assert code == 3 and json.loads(out)["error"] == "CapExceeded"
+    assert groups.builtin_deck_group("torus2") is decks["torus2"]
+

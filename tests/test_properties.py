@@ -14,8 +14,8 @@ construction over that box scan, the integer-record orbit counts and
 finite-index rows against the same counted over hits, normal-form
 products, inverses, word balls and subgroup membership against the same
 on isometries (word balls against a plain composition search), the
-counting paths against building any isometry, and ray scales
-against the first deck element of a box scan that cuts the ray. The warped grid solver, which
+counting paths against building any isometry, the ray queries against
+building one per orbit record, and ray scales against the first deck element of a box scan that cuts the ray. The warped grid solver, which
 floods only the r >= 0 half of a symmetric grid, or only the rows within
 a given reach of its centre, is checked bit for bit against a plain
 Dijkstra over the whole grid (cylinders of one column up), and the deck
@@ -770,20 +770,23 @@ def test_report_within_matches_extension_at_most(name, data):
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_ray_window_jumps_to_its_certificate(name, data):
-    deck, center, target, _, lifts = data.draw(ray_cases(name))
+    deck, center, target, d2, lifts = data.draw(ray_cases(name))
     d = vec_sub(tuple(lifts[0]), tuple(center))
     windows = []
-    enumerate_orbit = groups.DeckGroup.enumerate_orbit
+    records = groups.DeckGroup._records
 
-    def recorded(self, x, radius_sq):
-        hits = enumerate_orbit(self, x, radius_sq)
-        binds = any(vec_dot(vec_sub(tuple(h.image), tuple(x)), mat_vec(h.element.orthogonal, d)) < 0
-                    for h in hits)
+    def recorded(self, x, y, limit):
+        # every orbit scan of the ray, given its nearest lifts, is a window
+        scale, den, rows = records(self, x, y, limit)
+        assert x == y == center
+        binds = any(vec_dot(vec_sub(tuple(Fraction(v, den) for v in image), tuple(x)),
+                            mat_vec(self.coset_reps[c].orthogonal, d)) < 0
+                    for _, image, _, c, _ in rows)
         windows.append(binds)
-        return hits
+        return scale, den, rows
 
-    with mock.patch.object(groups.DeckGroup, "enumerate_orbit", recorded):
-        rep = flatgeo.ray_extension(deck, center, target)
+    with mock.patch.object(groups.DeckGroup, "_records", recorded):
+        rep = flatgeo.ray_extension(deck, center, target, nearest=(d2, lifts))
     if rep.infinite or len(lifts) > 1:
         assert windows == []
         return
@@ -791,6 +794,39 @@ def test_ray_window_jumps_to_its_certificate(name, data):
     assert not any(windows[:first])  # the window only doubles while nothing binds
     assert len(windows) - first <= 2
     assert rep.search_radius_sq >= 4 * rep.ray_scale ** 2 * rep.direction_sq
+
+
+# (deck, center, target) whose ray windows hold dozens to about a thousand records
+RAY_BUILD_CASES = [
+    ("cylinder2", "0,0", "3/2,1/16"), ("moebius2", "0,3/10", "1/3,7/5"),
+    ("klein2", "1/10,1/10", "2/7,-3/5"), ("moebiusxT", "0,3/10,0", "1/2,7/4,1/9"),
+    ("torus2", "0,0", "1/3,1/7"), ("p4m", "1/10,1/5", "1/3,-1/7"), ("rotated-klein", "0,0", "1/3,1/7"),
+]
+
+
+@pytest.mark.parametrize("name,center,target", RAY_BUILD_CASES)
+def test_ray_queries_build_no_isometry_per_record(monkeypatch, name, center, target):
+    """`dirichlet_query` and `extension_at_most` build at most one
+    Isometry per coset plus one per lift, however many records their
+    orbit windows hold."""
+    deck = decks.deck(name)
+    center, target = (Point(tuple(Fraction(x) for x in p.split(","))) for p in (center, target))
+    built, scanned = [], []
+    init, records = Isometry.__init__, groups.DeckGroup._records
+    monkeypatch.setattr(Isometry, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+
+    def counted(self, *args):
+        out = records(self, *args)
+        scanned.append(len(out[2]))
+        return out
+
+    monkeypatch.setattr(groups.DeckGroup, "_records", counted)
+    query = flatgeo.dirichlet_query(deck, center, target)
+    for h in (0, Fraction(1, 2), 3):
+        flatgeo.extension_at_most(deck, center, target, h)
+    bound = len(deck.coset_reps) + len(query.lifts)
+    assert sum(scanned) > 4 * bound
+    assert len(built) <= bound
 
 
 @pytest.mark.parametrize("name", DECK_GROUP_NAMES)
