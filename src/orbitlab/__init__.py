@@ -5,6 +5,9 @@ The package splits into exact and numeric halves. ``euclid``, ``groups``,
 so every count and comparison they report is exact. ``flatgeo`` and
 ``warped`` estimate volumes (seeded Monte Carlo and certified grid
 geodesics respectively) and wrap the estimates in explicit guard bands.
+numpy and scipy are runtime dependencies of those estimators only: they
+are imported on the first Monte Carlo or grid call, not by ``import
+orbitlab``, so the exact half never loads them.
 """
 
 from . import errors

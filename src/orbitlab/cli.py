@@ -591,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a defaulted option (seed, samples, tol, cap) or name a key=value file; explicit flags win",
     )
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--timings", action="store_true", help="include wall-clock seconds in the output")
+    common.add_argument("--timings", action="store_true", help="include wall-clock seconds in the output; "
+                        "a process's first Monte Carlo or warped command also counts importing numpy and scipy")
 
     p = argparse.ArgumentParser(
         prog="orbitlab",

@@ -15,9 +15,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-from scipy.spatial import cKDTree
-
 from .errors import (
     CapExceeded,
     InsufficientSamples,
@@ -305,6 +302,12 @@ def _strata_per_axis(samples: int, dim: int) -> int:
     return s
 
 
+def cKDTree(points):
+    """scipy's kd-tree over ``points``; scipy is imported on the first call."""
+    from scipy.spatial import cKDTree
+    return cKDTree(points)
+
+
 # the most samples one indicator call sees; blocks hold whole cells, so
 # only a single cell larger than this makes a larger block
 _BLOCK_SAMPLES = 1 << 16
@@ -336,6 +339,7 @@ def _stratified_estimate(
     added in cell order in Python floats, as a per-cell loop adds them;
     a numpy sum would add them pairwise and change the last bits.
     """
+    import numpy as np
     if samples < 64:
         raise InsufficientSamples("need at least 64 samples for a volume estimate")
     dim = lo.shape[0]
@@ -390,6 +394,7 @@ def _orbit_cloud(hits: Sequence[OrbitHit], center: Point, reach_sq: Fraction):
     common denominator, which order as the Fractions do; ``n / den`` is
     correctly rounded, so each float equals ``float(Fraction)``.
     """
+    import numpy as np
     images = [tuple(h.image) for h in hits if h.dist_sq <= reach_sq]
     ctr = tuple(center)
     den = math.lcm(*(c.denominator for c in ctr), *(c.denominator for p in images for c in p))
@@ -418,6 +423,7 @@ def ball_volume(
     ``hits`` is ``deck.enumerate_orbit(center, R)`` for some R >= 4*radius^2
     when the caller already has it.
     """
+    import numpy as np
     r = frac(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -453,6 +459,7 @@ def thin_set_volume(
     re-decided in exact rational arithmetic, so the estimate never flips
     on floating-point ties.
     """
+    import numpy as np
     r = frac(radius)
     hh = frac(thickness)
     if r <= 0 or hh <= 0:

@@ -40,10 +40,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
-
 from .errors import CapExceeded, ConvergenceError, TruncationError
 from .flatgeo import dual_rows, schema_row
 
@@ -54,6 +50,12 @@ NODE_CAP = 20_000_000
 CIRCUMFERENCE = 2.0 * math.pi
 # d(k) / sqrt(k) for the plain warp: the climb-and-wrap bound 4*sqrt(pi*k)
 DISTANCE_SLOPE = 4.0 * math.sqrt(math.pi)
+
+
+def dijkstra(graph, *args, **kwargs):
+    """scipy's ``csgraph.dijkstra``; scipy is imported on the first call."""
+    from scipy.sparse.csgraph import dijkstra
+    return dijkstra(graph, *args, **kwargs)
 
 
 def warp(r: float) -> float:
@@ -81,6 +83,7 @@ def warp_derivative(r: float) -> float:
 
 def metric_factor(r, square: bool = False) -> np.ndarray:
     """Vectorized coefficient of ds^2 (phi, or phi^2 with ``square``)."""
+    import numpy as np
     rr = np.abs(np.asarray(r, dtype=float))
     out = np.ones_like(rr)
     far = rr >= 2.0
@@ -105,6 +108,8 @@ def _grid_graph(
     diagonal duplicates the shorter vertical edge, and the horizontal one
     is a self-loop), so wrapped edges are kept only from 3 columns up.
     """
+    import numpy as np
+    from scipy.sparse import csr_matrix
     tcol = np.arange(ncol)[:, None] + np.array([1, -1, 0, 1])
     ok = (tcol >= 0) & (tcol < ncol)
     if periodic:
@@ -166,6 +171,7 @@ def _solve_grid(
     the full grid. The graph is built directly in CSR form
     (``_grid_graph``).
     """
+    import numpy as np
     nrow = len(r_vals)
     ncol = len(s_vals)
     if nrow * ncol > NODE_CAP:
@@ -262,6 +268,7 @@ def _deck_distance_grid(k_max: int, scale: float, square: bool, base: Tuple[floa
     half * dr away) lies beyond every target. It passes on the first
     flood; a flood that fails it is redone on a window twice as wide.
     """
+    import numpy as np
     base_dr, base_ds = base
     climb = 3.0 * (CIRCUMFERENCE * k_max) ** (1.0 / 3.0) if square else 4.0 * math.sqrt(math.pi * k_max)
     r_win = min(CIRCUMFERENCE * k_max, climb) + 8.0
@@ -316,6 +323,7 @@ def deck_distances(
 
 
 def _ball_volume_grid(radius: float, scale: float, square: bool, base: Tuple[float, float]) -> float:
+    import numpy as np
     base_dr, base_ds = base
     r_max = radius + 2.0
     # small balls need proportionally finer cells to keep the boundary
@@ -530,6 +538,7 @@ def point_distance(
     at most 400 rows, and on the cover at most 1,600 columns, so a wide
     window is solved on coarser steps than requested.
     """
+    import numpy as np
     base_dr, base_ds = _base_spacing(spacing)
 
     def solve(scale: float) -> float:

@@ -565,3 +565,35 @@ def test_each_deck_group_is_built_once_per_process(capsys, monkeypatch):
     assert code == 3 and json.loads(out)["error"] == "CapExceeded"
     assert groups.builtin_deck_group("torus2") is decks["torus2"]
 
+
+# one fresh process runs each exact command; none may load the numeric
+# stack, which only Monte Carlo volumes and warped grids use
+EXACT_SEQUENCE = [
+    ("snf", "--matrix", "[[2,4],[6,8]]"),
+    ("orbit-count", "--space", "moebius2", "--radii", "1,2,3"),
+    ("dirichlet", "--space", "moebiusxT", "--point", "1/2,7/4,1/9", "--within", "1"),
+    ("classify", "--space", "moebius2"),
+    ("soul-dim", "--space", "cylinder2"),
+    ("milnor-check", "--space", "z2", "--radii", "1,2"),
+]
+
+_EXACT_SCRIPT = """
+import contextlib, io, json, sys
+from orbitlab import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))]))
+"""
+
+
+def test_exact_commands_load_neither_numpy_nor_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _EXACT_SCRIPT, json.dumps(EXACT_SEQUENCE)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    codes, numeric = json.loads(proc.stdout)
+    assert codes == [0] * len(EXACT_SEQUENCE)
+    assert numeric == []

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbitlab import flatgeo
 from orbitlab.errors import (
     NonCommutingGenerators,
     UnsupportedMethod,
@@ -241,6 +242,36 @@ def test_verify_dual_word_variant():
     rep = verify_dual(deck, BASE_POINTS["cylinder2"], [1, 2], samples=20_000, seed=7, word_variant=True)
     assert rep.word_rows
     assert rep.ok
+
+
+def _record_trees(monkeypatch):
+    """Patch the module-global ``cKDTree`` (the name the tracer hooks) to
+    log the point count of every tree built."""
+    sizes = []
+    real = flatgeo.cKDTree
+
+    def spy(points):
+        sizes.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(flatgeo, "cKDTree", spy)
+    return sizes
+
+
+def test_every_volume_builds_its_trees_through_the_module_global(monkeypatch):
+    deck = builtin_deck_group("cylinder2")
+    base = BASE_POINTS["cylinder2"]
+    calls = [
+        (ball_volume, (deck, base, 2), 1),
+        (thin_set_volume, (deck, base, 4, 1, 0), 1),
+        (verify_dual, (deck, base, [1, 2, 3]), 3),
+    ]
+    plain = [fn(*args, samples=5_000, seed=3) for fn, args, _ in calls]
+    sizes = _record_trees(monkeypatch)
+    for (fn, args, trees), want in zip(calls, plain):
+        sizes.clear()
+        assert fn(*args, samples=5_000, seed=3) == want
+        assert len(sizes) == trees and min(sizes) > 1
 
 
 # --------------------------------------------------------------------------
