@@ -35,8 +35,8 @@ from .euclid import (
     vec_dot,
     vec_sub,
 )
-from .groups import DeckGroup, OrbitHit, _ball_limit, _ints, _plus_sqrt_limit, word_ball_counts
-from .orbit import image_counts
+from .groups import DeckGroup, _ball_limit, _ints, _plus_sqrt_limit, word_ball_counts
+from .orbit import ball_counts
 
 BASE_POINTS: Dict[str, Point] = {
     "torus2": Point.of(0, 0),
@@ -386,25 +386,19 @@ def _stratified_estimate(
     )
 
 
-def _orbit_cloud(hits: Sequence[OrbitHit], center: Point, reach_sq: Fraction):
-    """The distinct orbit points among ``hits`` within ``reach_sq`` of the
-    center, sorted, and the center's index among them.
+def _orbit_cloud(deck: DeckGroup, center: Point, reach_sq: Fraction):
+    """The distinct orbit points of the center within ``reach_sq`` of it,
+    sorted, and the center's index among them.
 
-    The points are deduplicated and sorted as integer numerators over one
-    common denominator, which order as the Fractions do; ``n / den`` is
+    The points are the integer images of `DeckGroup._records` over their
+    one denominator, which order as the Fractions do; ``n / den`` is
     correctly rounded, so each float equals ``float(Fraction)``.
     """
     import numpy as np
-    images = [tuple(h.image) for h in hits if h.dist_sq <= reach_sq]
-    ctr = tuple(center)
-    den = math.lcm(*(c.denominator for c in ctr), *(c.denominator for p in images for c in p))
-
-    def key(p):
-        return tuple(c.numerator * (den // c.denominator) for c in p)
-
-    uniq = sorted({key(p) for p in images})
+    _, den, records = deck._records(center, center, _ball_limit(reach_sq))
+    uniq = sorted({r[1] for r in records})
     pts = np.array([[n / den for n in p] for p in uniq], dtype=float)
-    return pts, uniq.index(key(ctr))
+    return pts, uniq.index(_ints(tuple(center), den))
 
 
 def ball_volume(
@@ -413,23 +407,19 @@ def ball_volume(
     radius,
     samples: int = 200_000,
     seed=7,
-    hits: Optional[Sequence[OrbitHit]] = None,
 ) -> VolumeEstimate:
     """Monte Carlo volume of the metric ball of ``radius`` in the quotient.
 
     The ball lifts to {y : |y - center| <= radius and center is the
     nearest orbit point of the center's orbit}, so the indicator is one
-    nearest-neighbor query against the orbit cloud out to 2*radius.
-    ``hits`` is ``deck.enumerate_orbit(center, R)`` for some R >= 4*radius^2
-    when the caller already has it.
+    nearest-neighbor query against the orbit cloud out to 2*radius, read
+    off one integer orbit scan (`_orbit_cloud`).
     """
     import numpy as np
     r = frac(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
-    if hits is None:
-        hits = deck.enumerate_orbit(center, 4 * r * r)
-    cloud, center_idx = _orbit_cloud(hits, center, 4 * r * r)
+    cloud, center_idx = _orbit_cloud(deck, center, 4 * r * r)
     tree = cKDTree(cloud)
     rf = float(r)
     cf = np.array([float(c) for c in center], dtype=float)
@@ -464,7 +454,7 @@ def thin_set_volume(
     hh = frac(thickness)
     if r <= 0 or hh <= 0:
         raise ValueError("radius and thickness must be positive")
-    cloud, center_idx = _orbit_cloud(deck.enumerate_orbit(center, 4 * r * r), center, 4 * r * r)
+    cloud, center_idx = _orbit_cloud(deck, center, 4 * r * r)
     tree = cKDTree(cloud)
     rf = float(r)
     hf = float(hh)
@@ -661,17 +651,16 @@ def verify_dual(
     (2r)^n, tested against the estimate minus three sigma. A failure of
     either guard band is a genuine counterexample up to MC noise.
 
-    One orbit enumeration, at 4*max(r)^2, serves every count and every
-    radius's orbit cloud.
+    The counts come from one integer orbit scan at 4*max(r)^2
+    (`orbit.ball_counts`); each volume is a plain `ball_volume` call.
     """
     n = deck.dimension
     omega = unit_ball_volume(n)
     rows: List[DualRow] = []
     rs = sorted(frac(v) for v in radii)
-    hits = deck.enumerate_orbit(center, max((4 * r * r for r in rs), default=Fraction(0)))
-    counts = image_counts(hits, [r * r for r in rs] + [4 * r * r for r in rs])
+    counts = ball_counts(deck, center, [r * r for r in rs] + [4 * r * r for r in rs])
     for i, (r, count_r, count_2r) in enumerate(zip(rs, counts, counts[len(rs):])):
-        est = ball_volume(deck, center, r, samples=samples, seed=[seed, i], hits=hits)
+        est = ball_volume(deck, center, r, samples=samples, seed=[seed, i])
         rf = float(r)
         lower_lhs = count_2r * (est.value + 3 * est.sigma)
         lower_rhs = omega * rf ** n
@@ -706,9 +695,7 @@ def verify_dual(
         int_radii = sorted({int(r) for r in rs if frac(int(r)) == r and r >= 1})
         counts = word_ball_counts(group, int_radii[-1]) if int_radii else []
         for i, r in enumerate(int_radii):
-            est = ball_volume(
-                deck, center, r, samples=samples, seed=[seed, 1000 + i], hits=hits
-            )
+            est = ball_volume(deck, center, r, samples=samples, seed=[seed, 1000 + i])
             lhs = counts[r] * (est.value - 3 * est.sigma)
             rhs = omega * (2 * hfloat * r) ** n
             word_rows.append(

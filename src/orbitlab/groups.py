@@ -517,13 +517,13 @@ class DeckWord(NamedTuple):
 
 
 class _Kernel:
-    """The integer tables of one deck group, built on first use.
+    """The integer tables of one deck group, built when the deck validates.
 
     With B = B_int / D the lattice basis and A_c = A_int / a_c the matrix
     of coset c, the map m -> A_c B^T m is K_c m / den: one integer matrix
     K_c per coset over one denominator ``den``, which the translations
     b_c share too (``shifts``). The word tables behind `DeckWord` are
-    built on the first normal form.
+    built on first use.
     """
 
     def __init__(self, deck: "DeckGroup"):
@@ -567,27 +567,28 @@ class _Kernel:
         return out
 
     def normal_form(self, g: Isometry) -> Optional[DeckWord]:
-        """g as a `DeckWord`, or None when g is not in the deck group."""
-        for c, rep in enumerate(self.reps):
-            if rep.orthogonal is g.orthogonal or rep.orthogonal == g.orthogonal:
-                break
-        else:
-            return None
-        t = g.translation
-        big = lcm(self.den, *(x.denominator for x in t))
+        """g as a `DeckWord`, or None when g is not in the deck group: the
+        one membership decision. Several cosets may share g's matrix (their
+        translations differ by a non-lattice vector), so each is tried."""
+        big = lcm(self.den, *(x.denominator for x in g.translation))
         f = big // self.den
-        # u = (t - b_c) big = A_c B^T m big must equal K_c m f
-        u = [x - s * f for x, s in zip(_ints(t, big), self.shifts[c])]
-        solve, r = self.solvers[c]
-        coords = []
-        for row in solve:
-            q, rem = divmod(sum(map(mul, row, u)), r * big)
-            if rem:
-                return None
-            coords.append(q)
-        if [x * f for x in _mat_ints(self.kmats[c], coords)] != u:
-            return None
-        return DeckWord(c, tuple(coords), self)
+        t = _ints(g.translation, big)
+        for c, rep in enumerate(self.reps):
+            if rep.orthogonal is not g.orthogonal and rep.orthogonal != g.orthogonal:
+                continue
+            # u = (t - b_c) big = A_c B^T m big must equal K_c m f
+            u = [x - s * f for x, s in zip(t, self.shifts[c])]
+            solve, r = self.solvers[c]
+            coords = []
+            for row in solve:
+                q, rem = divmod(sum(map(mul, row, u)), r * big)
+                if rem:
+                    break
+                coords.append(q)
+            else:
+                if [x * f for x in _mat_ints(self.kmats[c], coords)] == u:
+                    return DeckWord(c, tuple(coords), self)
+        return None
 
     def _factor(self, g: Isometry) -> Tuple[int, Tuple[int, ...]]:
         word = self.normal_form(g)
@@ -628,8 +629,9 @@ class DeckGroup:
     Every element factors uniquely as ``rep * translation`` with the
     translation drawn from ``lattice``; the constructor verifies that
     the cosets really tile a group (lattice invariance, distinctness,
-    closure, and an identity coset). The integer tables of orbit
-    enumeration and normal forms are built on first use, not here.
+    closure, and an identity coset). Membership is decided in normal
+    form, so the integer tables of orbit enumeration and normal forms
+    are built during that check; the word tables on first use.
     """
 
     dimension: int
@@ -681,28 +683,17 @@ class DeckGroup:
     def _kernel(self) -> _Kernel:
         return _Kernel(self)
 
-    def _locate(self, g: Isometry) -> Optional[Tuple[int, Tuple[Fraction, ...]]]:
-        """(i, v) with g = coset_reps[i] * translation_by(v), or None."""
-        for i, h in enumerate(self.coset_reps):
-            if h.orthogonal == g.orthogonal:
-                v = h.preimage(g.translation)
-                if v in self.lattice:
-                    return i, v
-        return None
-
     def coset_index(self, g: Isometry) -> Optional[int]:
-        found = self._locate(g)
-        return None if found is None else found[0]
+        word = self._kernel.normal_form(g)
+        return None if word is None else word.coset
 
     def __contains__(self, g: Isometry) -> bool:
         return self.coset_index(g) is not None
 
     def factor(self, g: Isometry) -> Tuple[int, Tuple[Fraction, ...]]:
         """Indices (i, v) with g = coset_reps[i] * translation_by(v), v in the lattice."""
-        found = self._locate(g)
-        if found is None:
-            raise InconsistentCosets("element does not belong to the deck group")
-        return found
+        word = self.normal_form(g)
+        return word.coset, self.lattice.vector(word.coords)
 
     def normal_form(self, g: Isometry) -> DeckWord:
         """g as a `DeckWord` (coset, integer lattice coordinates), computed

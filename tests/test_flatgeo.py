@@ -15,6 +15,7 @@ from orbitlab.errors import (
 from orbitlab.euclid import Isometry, Point
 from orbitlab.flatgeo import (
     BASE_POINTS,
+    SOUL_AXES,
     SOUL_DIMENSIONS,
     ball_volume,
     classify_flat,
@@ -27,7 +28,7 @@ from orbitlab.flatgeo import (
     thin_set_volume,
     verify_dual,
 )
-from orbitlab.groups import DeckGroup, builtin_deck_group
+from orbitlab.groups import DECK_GROUP_NAMES, DeckGroup, builtin_deck_group
 
 # --------------------------------------------------------------------------
 # cells and lifts
@@ -340,3 +341,17 @@ def test_soul_dimensions_table():
     assert SOUL_DIMENSIONS["torus2"] == 2
     with pytest.raises(KeyError):
         soul_dimension("nope")
+
+
+@pytest.mark.parametrize("name", DECK_GROUP_NAMES)
+def test_soul_tables_match_the_decks(name):
+    """The soul is the lattice's span: its dimension is the rank, and a
+    soul axis exists exactly when the rank falls short, as the one
+    coordinate axis orthogonal to every basis vector."""
+    lattice = builtin_deck_group(name).lattice
+    assert SOUL_DIMENSIONS[name] == lattice.rank
+    normal = [i for i in range(lattice.dimension) if all(b[i] == 0 for b in lattice.basis)]
+    if lattice.rank == lattice.dimension:
+        assert SOUL_AXES[name] is None
+    else:
+        assert normal == [SOUL_AXES[name]]

@@ -29,6 +29,7 @@ from orbitlab.groups import (
     zk_deck,
     zk_group,
 )
+from orbitlab.orbit import ball_counts, finite_index_comparison, milnor_check, translation_subgroup
 
 # --------------------------------------------------------------------------
 # word balls
@@ -249,6 +250,38 @@ def test_factor_round_trip():
         assert j == i and w == v
     outsider = Isometry.translation_by(("1/2", 0))
     assert outsider not in deck
+
+
+def test_cosets_sharing_a_matrix():
+    """Z^2 with coset representatives I and t(1/2, 0), the group (1/2)Z x Z:
+    both cosets share the identity matrix, so membership, normal forms and
+    the word tables must try each, not stop at the first."""
+    half = Isometry.translation_by((Fraction(1, 2), 0))
+    lat = TranslationLattice([(1, 0), (0, 1)])
+    deck = DeckGroup(2, lat, (Isometry.identity(2), half))
+    origin = Point.of(0, 0)
+    assert half in deck and deck.coset_index(half) == 1 and deck.factor(half) == (1, (0, 0))
+    for h in deck.enumerate_orbit(origin, 9):
+        assert deck.normal_form(h.element).isometry() == h.element
+
+    def box(reach_sq, step=Fraction(1, 2)):
+        """Orbit points (a step, b) with (a step)^2 + b^2 <= reach_sq."""
+        return sum(1 for a in range(-14, 15) for b in range(-7, 8) if (a * step) ** 2 + b * b <= reach_sq)
+
+    squares = DeckGroup(2, lat, deck.coset_reps,
+                        word_generators=(Isometry.translation_by((1, 0)), Isometry.translation_by((0, 1))))
+    assert squares.generated().words is not None
+    milnor = milnor_check(squares, origin, [1, 2, 3])
+    assert not milnor.pointwise_failures
+    orbit_counts = [box(r * r) for r in (1, 2, 3)]
+    assert ball_counts(deck, origin, [1, 4, 9]) == orbit_counts
+    assert [(row.word_count, row.orbit_count) for row in milnor.rows] == [
+        (2 * r * r + 2 * r + 1, c) for r, c in zip((1, 2, 3), orbit_counts)]
+
+    index = finite_index_comparison(deck, translation_subgroup(deck), origin, [1, 2])
+    assert index.index == 2 and index.slack_dist_sq == Fraction(1, 4)
+    assert [(row.whole_count, row.subgroup_count_extended) for row in index.rows] == [
+        (box(r * r), box((r + Fraction(1, 2)) ** 2, step=1)) for r in (1, 2)]
 
 
 def test_moebius_orbit_distances():

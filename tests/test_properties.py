@@ -575,33 +575,25 @@ def test_record_counts_match_counts_over_hits(whole_name, sub_name, data):
     assert [(row.radius, row.whole_count, row.subgroup_count_extended) for row in report.rows] == want
 
 
-def test_verify_dual_enumerates_once(monkeypatch):
+def test_volumes_read_integer_records(monkeypatch):
+    """Ball and thin-set volumes and the dual check scan integer orbit
+    records: no `enumerate_orbit` call and no isometry, once warm."""
+    deck = builtin_deck_group("moebiusxT")
+    center = flatgeo.BASE_POINTS["moebiusxT"]
+
+    def volumes():
+        flatgeo.ball_volume(deck, center, 2, samples=1000)
+        flatgeo.thin_set_volume(deck, center, 2, 1, flatgeo.SOUL_AXES["moebiusxT"], samples=1000)
+        flatgeo.verify_dual(deck, center, [1, 2, 3], samples=1000)
+
+    volumes()
     calls = []
-    enumerate_orbit = groups.DeckGroup.enumerate_orbit
-
-    def counted(self, x, radius_sq):
-        calls.append(radius_sq)
-        return enumerate_orbit(self, x, radius_sq)
-
-    monkeypatch.setattr(groups.DeckGroup, "enumerate_orbit", counted)
-    radii = [1, 2, 3]
-    deck = builtin_deck_group("klein2")
-    flatgeo.verify_dual(deck, flatgeo.BASE_POINTS["klein2"], radii, samples=1000, word_variant=True)
-    # one enumeration, at 4 * max(r)^2, for every count and every orbit cloud
-    assert calls == [36]
-
-
-@pytest.mark.parametrize("name", ["cylinder2", "moebiusxT"])
-def test_shared_enumeration_keeps_every_cloud(name):
-    deck = builtin_deck_group(name)
-    center = flatgeo.BASE_POINTS[name]
-    hits = deck.enumerate_orbit(center, 16)
-    for r in (Fraction(1, 2), 1, Fraction(3, 2), 2):
-        alone = flatgeo._orbit_cloud(deck.enumerate_orbit(center, 4 * r * r), center, 4 * r * r)
-        shared = flatgeo._orbit_cloud(hits, center, 4 * Fraction(r) ** 2)
-        assert np.array_equal(alone[0], shared[0]) and alone[1] == shared[1]
-        assert flatgeo.ball_volume(deck, center, r, samples=2000, seed=5) == flatgeo.ball_volume(
-            deck, center, r, samples=2000, seed=5, hits=hits)
+    enumerate_orbit, init = groups.DeckGroup.enumerate_orbit, Isometry.__init__
+    monkeypatch.setattr(groups.DeckGroup, "enumerate_orbit",
+                        lambda *a: calls.append("enumerate") or enumerate_orbit(*a))
+    monkeypatch.setattr(Isometry, "__init__", lambda self, *a: calls.append("isometry") or init(self, *a))
+    volumes()
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +659,9 @@ def test_block_estimate_matches_the_per_cell_loop(case):
         assert len(rows) == 1
 
 
-def _fraction_cloud(hits, center, reach_sq):
-    """`_orbit_cloud` on Fraction tuples, sorted and converted one by one."""
-    uniq = sorted({tuple(h.image) for h in hits if h.dist_sq <= reach_sq})
+def _fraction_cloud(deck, center, reach_sq):
+    """`_orbit_cloud` from orbit hits, as Fraction tuples sorted and converted one by one."""
+    uniq = sorted({tuple(h.image) for h in deck.enumerate_orbit(center, reach_sq)})
     return np.array([[float(c) for c in p] for p in uniq], dtype=float), uniq.index(tuple(center))
 
 
@@ -683,9 +675,8 @@ def test_integer_keyed_cloud_matches_the_fraction_cloud(name, data):
     deck = decks.deck(name)
     center = Point(data.draw(st.lists(MIXED_COORD, min_size=deck.dimension, max_size=deck.dimension)))
     reach_sq = data.draw(st.fractions(min_value=Fraction(1, 7), max_value=9, max_denominator=7))
-    hits = deck.enumerate_orbit(center, 9)
-    pts, idx = flatgeo._orbit_cloud(hits, center, reach_sq)
-    want, want_idx = _fraction_cloud(hits, center, reach_sq)
+    pts, idx = flatgeo._orbit_cloud(deck, center, reach_sq)
+    want, want_idx = _fraction_cloud(deck, center, reach_sq)
     assert pts.shape == want.shape and pts.tobytes() == want.tobytes() and idx == want_idx
 
 
