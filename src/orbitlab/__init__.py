@@ -25,7 +25,6 @@ from .algebra import (
 from .euclid import Isometry, Point, apply, compose, frac, inverse
 from .flatgeo import (
     BASE_POINTS,
-    SOUL_DIMENSIONS,
     ball_volume,
     classify_flat,
     dirichlet_contains,
@@ -33,6 +32,7 @@ from .flatgeo import (
     nearest_lifts,
     ray_extension,
     reference_ball_volume,
+    soul_axis,
     soul_dimension,
     thin_set_volume,
     verify_dual,
@@ -45,6 +45,7 @@ from .groups import (
     builtin_deck_group,
     builtin_generated_group,
     heisenberg_group,
+    hurewicz_images,
     word_ball,
     word_ball_counts,
     word_length,
@@ -74,7 +75,6 @@ __all__ = [
     "HeisenbergElement",
     "Isometry",
     "Point",
-    "SOUL_DIMENSIONS",
     "TranslationLattice",
     "abelian_rank",
     "apply",
@@ -91,6 +91,7 @@ __all__ = [
     "frac",
     "heisenberg_group",
     "hurewicz_ball_injection",
+    "hurewicz_images",
     "independence_check",
     "int_determinant",
     "integer_rank",
@@ -104,6 +105,7 @@ __all__ = [
     "reference_ball_volume",
     "smith_normal_form",
     "snf_diagonal",
+    "soul_axis",
     "soul_dimension",
     "subgroup_index",
     "thin_set_volume",

@@ -54,7 +54,7 @@ USAGE_ERRORS = (
 RESOURCE_ERRORS = (CapExceeded, NotFoundWithinCap, TruncationError, ConvergenceError)
 CLASSIFY_ERRORS = (NonCommutingGenerators, WrongLatticeRank, UnfixedLatticeSpan)
 
-SPACE_CHOICES = ("torus2", "cylinder2", "moebius2", "klein2", "moebiusxT", "z1", "z2", "z3")
+SPACE_CHOICES = groups.SPACE_NAMES
 GLOBAL_CONFIG_KEYS = {"seed", "samples", "tol", "cap"}
 
 CommandResult = Tuple[Dict[str, Any], bool, Optional[Tuple[List[str], List[List[Any]]]]]
@@ -109,7 +109,8 @@ def _load_json_arg(text: str):
 
 
 def _selector(name: str) -> str:
-    """Normalize a space/group name: Z^k and z^k mean the lattice zk."""
+    """Normalize a --space/--group name as it is parsed: Z^k and z^k mean
+    the lattice zk."""
     low = name.strip().lower()
     if low.startswith("z^") and low[2:].isdigit():
         return "z" + low[2:]
@@ -130,7 +131,6 @@ def _min_samples(samples: int) -> int:
 
 def _space_args(args) -> Tuple[groups.DeckGroup, Point]:
     """The deck group named by --space and the base point: --base, else its default."""
-    args.space = _selector(args.space)
     deck = groups.builtin_deck_group(args.space)
     if not getattr(args, "base", None):
         return deck, flatgeo.default_base(deck)
@@ -173,7 +173,6 @@ def _cmd_orbit_count(args) -> CommandResult:
 
 
 def _cmd_word_ball(args) -> CommandResult:
-    args.group = _selector(args.group)
     group = groups.builtin_generated_group(args.group)
     counts = groups.word_ball_counts(group, args.radius, cap=args.cap)
     rows = [{"radius": i, "count": c} for i, c in enumerate(counts)]
@@ -193,7 +192,6 @@ def _cmd_growth_fit(args) -> CommandResult:
         label = args.space
         kind = "orbit"
     else:
-        args.group = _selector(args.group)
         group = groups.builtin_generated_group(args.group)
         series = orbit.word_growth(group, _increasing(_int_list(args.radii)))
         label = args.group
@@ -262,7 +260,7 @@ def _cmd_index_check(args) -> CommandResult:
 
 
 def _cmd_verify_dual(args) -> CommandResult:
-    if _selector(args.space) == "warped":
+    if args.space == "warped":
         radii = (
             _increasing(_float_list(args.radii)) if args.radii else list(warped.DEFAULT_DUAL_RADII)
         )
@@ -282,9 +280,7 @@ def _cmd_verify_dual(args) -> CommandResult:
 
 def _cmd_thin_set(args) -> CommandResult:
     deck, base = _space_args(args)
-    if args.space not in flatgeo.SOUL_AXES:
-        raise ValueError(f"no bundled core geometry for {args.space!r}")
-    axis = flatgeo.SOUL_AXES[args.space]
+    axis = flatgeo.soul_axis(deck)
     h = _frac(args.thickness)
     samples = _min_samples(args.samples)
     trend = flatgeo.thin_trend(
@@ -358,10 +354,7 @@ def _cmd_classify(args) -> CommandResult:
     if bool(args.space) == bool(args.generators):
         raise ValueError("pass exactly one of --space or --generators")
     if args.space:
-        args.space = _selector(args.space)
         gens = list(groups.builtin_deck_group(args.space).word_generators)
-        if not gens:
-            raise ValueError("this space has no bundled generating set")
     else:
         objs = _load_json_arg(args.generators)
         gens = [Isometry.from_obj(o) for o in objs]
@@ -432,19 +425,10 @@ def _cmd_rank(args) -> CommandResult:
     return payload, True, None
 
 
-def _hurewicz_setup(name: str):
-    if name == "heisenberg":
-        return groups.heisenberg_group(), list(zip(HEISENBERG_SERIES, [(1, 0), (0, 1)]))
-    if name in ("z1", "z2", "z3"):
-        units = [tuple(int(i == j) for j in range(int(name[1]))) for i in range(int(name[1]))]
-        return groups.zk_group(len(units)), [(Isometry.translation_by(u), u) for u in units]
-    raise ValueError(f"no bundled abelianization data for {name!r}")
-
-
 def _cmd_injection_check(args) -> CommandResult:
-    args.group = _selector(args.group)
     if args.kind == "hurewicz":
-        group, images = _hurewicz_setup(args.group)
+        images = groups.hurewicz_images(args.group)
+        group = groups.builtin_generated_group(args.group)
         rep = algebra.hurewicz_ball_injection(group, images, args.radius, cap=args.cap or 10_000_000)
         ok = rep.injective and rep.bound_holds
         payload = {
@@ -601,41 +585,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sc = sub.add_parser("orbit-count", parents=[common], help="orbit points of a deck group per radius")
-    sc.add_argument("--space", "--group", dest="space", required=True, help=SPACE_HELP)
+    sc.add_argument("--space", "--group", dest="space", required=True, type=_selector, help=SPACE_HELP)
     sc.add_argument("--base", "--point", dest="base", help="base point, e.g. '0,3/10'")
     sc.add_argument("--radii", default="1,2,4,8,16")
     sc.set_defaults(func=_cmd_orbit_count)
 
     sc = sub.add_parser("word-ball", parents=[common], help="cumulative word-ball sizes")
-    sc.add_argument("--group", required=True, help="a generated group, e.g. z2, Z^3, heisenberg, moebius2")
+    sc.add_argument("--group", required=True, type=_selector,
+                    help="a generated group, e.g. z2, Z^3, heisenberg, moebius2")
     sc.add_argument("--radius", type=int, required=True)
     sc.add_argument("--cap", type=int, default=None)
     sc.add_argument("--elements", action="store_true", help="include sorted canonical element encodings")
     sc.set_defaults(func=_cmd_word_ball)
 
     sc = sub.add_parser("growth-fit", parents=[common], help="power-law fit of orbit or word growth")
-    sc.add_argument("--space", help=SPACE_HELP)
-    sc.add_argument("--group", help="word growth of this generated group instead")
+    sc.add_argument("--space", type=_selector, help=SPACE_HELP)
+    sc.add_argument("--group", type=_selector, help="word growth of this generated group instead")
     sc.add_argument("--base")
     sc.add_argument("--radii", default="4,8,16,32,64")
     sc.set_defaults(func=_cmd_growth_fit)
 
     sc = sub.add_parser("milnor-check", parents=[common], help="word balls inside orbit balls, exactly")
-    sc.add_argument("--space", required=True, help=SPACE_HELP)
+    sc.add_argument("--space", required=True, type=_selector, help=SPACE_HELP)
     sc.add_argument("--base")
     sc.add_argument("--radii", default="1,2,3,4,5,6,7,8")
     sc.add_argument("--cap", type=int, default=None)
     sc.set_defaults(func=_cmd_milnor)
 
     sc = sub.add_parser("index-check", parents=[common], help="finite-index orbit comparison")
-    sc.add_argument("--space", required=True, help=SPACE_HELP)
+    sc.add_argument("--space", required=True, type=_selector, help=SPACE_HELP)
     sc.add_argument("--base")
     sc.add_argument("--subgroup", default="translations", choices=("translations",))
     sc.add_argument("--radii", default="1,2,4,8")
     sc.set_defaults(func=_cmd_index_check)
 
     sc = sub.add_parser("verify-dual", parents=[common], help="two-sided count/volume inequalities")
-    sc.add_argument("--space", required=True, help=SPACE_HELP + ", or 'warped'")
+    sc.add_argument("--space", required=True, type=_selector, help=SPACE_HELP + ", or 'warped'")
     sc.add_argument("--base")
     sc.add_argument("--radii")
     sc.add_argument("--samples", type=int, default=200000)
@@ -647,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.set_defaults(func=_cmd_verify_dual)
 
     sc = sub.add_parser("thin-set", parents=[common], help="volume of the ball near the core")
-    sc.add_argument("--space", required=True, help=SPACE_HELP)
+    sc.add_argument("--space", required=True, type=_selector, help=SPACE_HELP)
     sc.add_argument("--base")
     sc.add_argument("--radii", "--radius", dest="radii", required=True)
     sc.add_argument("--thickness", "--h", dest="thickness", required=True)
@@ -656,20 +641,20 @@ def build_parser() -> argparse.ArgumentParser:
     sc.set_defaults(func=_cmd_thin_set)
 
     sc = sub.add_parser("dirichlet", parents=[common], help="cell membership and ray extension")
-    sc.add_argument("--space", required=True, help=SPACE_HELP)
+    sc.add_argument("--space", required=True, type=_selector, help=SPACE_HELP)
     sc.add_argument("--base")
     sc.add_argument("--point", required=True)
     sc.add_argument("--within", help="also test extension <= this bound")
     sc.set_defaults(func=_cmd_dirichlet)
 
     sc = sub.add_parser("classify", parents=[common], help="product or twisted line bundle")
-    sc.add_argument("--space", help=SPACE_HELP)
+    sc.add_argument("--space", type=_selector, help=SPACE_HELP)
     sc.add_argument("--generators", help="JSON list of isometries, a file name, or @file")
     sc.add_argument("--dim", type=int, default=None, help="expected ambient dimension")
     sc.set_defaults(func=_cmd_classify)
 
     sc = sub.add_parser("soul-dim", parents=[common], help="dimension of the totally geodesic core")
-    sc.add_argument("--space", required=True, help="one of " + ", ".join(flatgeo.SOUL_DIMENSIONS))
+    sc.add_argument("--space", required=True, type=_selector, help=SPACE_HELP)
     sc.set_defaults(func=_cmd_soul_dim)
 
     sc = sub.add_parser("snf", parents=[common], help="Smith normal form with transforms")
@@ -685,7 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("injection-check", parents=[common], help="abelianized or polycyclic section injectivity")
     sc.add_argument("--kind", default="polycyclic", choices=("hurewicz", "polycyclic"))
-    sc.add_argument("--group", default="heisenberg", help="heisenberg, z1, z2, or z3")
+    sc.add_argument("--group", default="heisenberg", type=_selector,
+                    help="heisenberg; for hurewicz also z1-z3, torus2 or cylinder2")
     sc.add_argument("--radius", type=int, default=4)
     sc.add_argument("--box", type=int, default=3)
     sc.add_argument("--cap", type=int, default=None)

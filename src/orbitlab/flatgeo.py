@@ -5,6 +5,9 @@ rational arithmetic with explicit finiteness certificates, so every
 yes/no answer is proven, not sampled. The volume layer is Monte Carlo
 with stratified variance control; closed-form references exist for the
 two bundled 2-dimensional quotients where the integral is elementary.
+
+The soul of a flat quotient R^n / G lifts to a translate of the span of
+G's lattice, so soul data is read off the deck, never kept per space.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .euclid import (
     vec_dot,
     vec_sub,
 )
-from .groups import DeckGroup, _ball_limit, _ints, _plus_sqrt_limit, word_ball_counts
+from .groups import ZK_NAMES, DeckGroup, _BUILTIN_DECKS, _ball_limit, _ints, _plus_sqrt_limit, word_ball_counts
 from .orbit import ball_counts
 
 BASE_POINTS: Dict[str, Point] = {
@@ -46,30 +49,30 @@ BASE_POINTS: Dict[str, Point] = {
     "moebiusxT": Point.of(0, Fraction(3, 10), 0),
 }
 
-# coordinate whose absolute value measures distance to the totally
-# geodesic core; None means the quotient is compact and the core is everything
-SOUL_AXES: Dict[str, Optional[int]] = {
-    "torus2": None,
-    "cylinder2": 0,
-    "moebius2": 1,
-    "klein2": None,
-    "moebiusxT": 1,
-}
-
-SOUL_DIMENSIONS: Dict[str, int] = {
-    "torus2": 2,
-    "cylinder2": 1,
-    "moebius2": 1,
-    "klein2": 2,
-    "moebiusxT": 2,
-}
-
 
 def soul_dimension(name: str) -> int:
+    """The soul's dimension, the rank of the space's deck-table row (k for
+    z_k): no deck is built."""
+    if name in ZK_NAMES:
+        return int(name[1])
     try:
-        return SOUL_DIMENSIONS[name]
+        return len(_BUILTIN_DECKS[name][0])
     except KeyError:
         raise KeyError(f"no bundled soul dimension for {name!r}") from None
+
+
+def soul_axis(deck: DeckGroup) -> Optional[int]:
+    """The coordinate i with |x_i| the distance to the soul; None at full
+    rank, where the soul is everything. Refused unless the soul is the
+    hyperplane x_i = 0: lattice rank n - 1, normal to axis i, and every
+    coset representative has x_i-translation 0."""
+    n, basis = deck.dimension, deck.lattice.basis
+    if len(basis) == n:
+        return None
+    normal = [i for i in range(n) if all(b[i] == 0 for b in basis)]
+    if len(basis) != n - 1 or len(normal) != 1 or any(r.translation[normal[0]] for r in deck.coset_reps):
+        raise UnsupportedMethod("the soul is not a coordinate hyperplane x_i = 0")
+    return normal[0]
 
 
 def default_base(deck: DeckGroup) -> Point:

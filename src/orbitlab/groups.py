@@ -18,6 +18,10 @@ they are, and only hits handed back build an isometry. Deck elements in
 normal form (``DeckWord``, a coset index and integer lattice
 coordinates, after Zassenhaus) multiply and invert through integer
 tables, so word balls of deck-derived groups hash int tuples.
+
+Each bundled space is one row of one table, ``_BUILTIN_DECKS``: lattice
+basis, glide shift, translations. `builtin_deck_group` builds the deck
+from it; soul and Hurewicz data are read off the row or the deck.
 """
 
 from __future__ import annotations
@@ -817,26 +821,29 @@ class DeckGroup:
         return best
 
 
-def _reflection_first_axis(n: int, shift: Sequence) -> Isometry:
-    rows = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    rows[1][1] = Fraction(-1)
-    return Isometry(tuple(tuple(r) for r in rows), tuple(frac(x) for x in shift))
-
-
 def zk_group(k: int) -> GeneratedGroup:
     """Z^k generated by the unit translations, with its normal-form twin."""
     return zk_deck(k).generated()
 
 
+def _bundled(name: str, basis: Sequence[Sequence], flip_shift: Optional[Sequence] = None,
+             translations: Sequence[Sequence] = ()) -> DeckGroup:
+    """The deck group of one ``_BUILTIN_DECKS`` row: the lattice ``basis``,
+    the glide s(x) = (x0, -x1, x2, ...) + flip_shift as the second coset
+    when a shift is given, and word generators s, then the translations."""
+    n = len(basis[0])
+    reps = [Isometry.identity(n)]
+    if flip_shift is not None:
+        flip = [[-1 if i == j == 1 else int(i == j) for j in range(n)] for i in range(n)]
+        reps.append(Isometry(flip, flip_shift))
+    gens = reps[1:] + [Isometry.translation_by(t) for t in translations]
+    return DeckGroup(n, TranslationLattice(basis), reps, name=name, word_generators=gens)
+
+
 def zk_deck(k: int) -> DeckGroup:
     """Z^k acting by unit translations, packaged as a deck group."""
-    lat = TranslationLattice(
-        [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    )
-    gens = tuple(Isometry.translation_by(b) for b in lat.basis)
-    return DeckGroup(
-        k, lat, (Isometry.identity(k),), name=f"z{k}", word_generators=gens
-    )
+    units = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    return _bundled(f"z{k}", units, translations=units)
 
 
 def heisenberg_group() -> GeneratedGroup:
@@ -851,79 +858,21 @@ def builtin_generated_group(name: str) -> GeneratedGroup:
     raise KeyError(f"unknown group {name!r}; choose from {sorted(GENERATED_GROUP_NAMES)}")
 
 
-def torus2_deck() -> DeckGroup:
-    lat = TranslationLattice([(1, 0), (0, 1)])
-    ident = Isometry.identity(2)
-    return DeckGroup(
-        2,
-        lat,
-        (ident,),
-        name="torus2",
-        word_generators=(
-            Isometry.translation_by((1, 0)),
-            Isometry.translation_by((0, 1)),
-        ),
-    )
-
-
-def cylinder2_deck() -> DeckGroup:
-    lat = TranslationLattice([(0, 1)])
-    ident = Isometry.identity(2)
-    return DeckGroup(
-        2,
-        lat,
-        (ident,),
-        name="cylinder2",
-        word_generators=(Isometry.translation_by((0, 1)),),
-    )
-
-
-def moebius2_deck() -> DeckGroup:
-    lat = TranslationLattice([(2, 0)])
-    s = _reflection_first_axis(2, (1, 0))
-    return DeckGroup(
-        2,
-        lat,
-        (Isometry.identity(2), s),
-        name="moebius2",
-        word_generators=(s,),
-    )
-
-
-def klein2_deck() -> DeckGroup:
-    lat = TranslationLattice([(2, 0), (0, 1)])
-    s = _reflection_first_axis(2, (1, 0))
-    return DeckGroup(
-        2,
-        lat,
-        (Isometry.identity(2), s),
-        name="klein2",
-        word_generators=(s, Isometry.translation_by((0, 1))),
-    )
-
-
-def moebius_x_circle_deck() -> DeckGroup:
-    lat = TranslationLattice([(2, 0, 0), (0, 0, 1)])
-    s = _reflection_first_axis(3, (1, 0, 0))
-    return DeckGroup(
-        3,
-        lat,
-        (Isometry.identity(3), s),
-        name="moebiusxT",
-        word_generators=(s, Isometry.translation_by((0, 0, 1))),
-    )
-
-
+# Every bundled flat space, one row each: (lattice basis, glide shift or
+# None, word-generator translations); `_bundled` builds the deck.
 _BUILTIN_DECKS = {
-    "torus2": torus2_deck,
-    "cylinder2": cylinder2_deck,
-    "moebius2": moebius2_deck,
-    "klein2": klein2_deck,
-    "moebiusxT": moebius_x_circle_deck,
+    "torus2": (((1, 0), (0, 1)), None, ((1, 0), (0, 1))),
+    "cylinder2": (((0, 1),), None, ((0, 1),)),
+    "moebius2": (((2, 0),), (1, 0), ()),
+    "klein2": (((2, 0), (0, 1)), (1, 0), ((0, 1),)),
+    "moebiusxT": (((2, 0, 0), (0, 0, 1)), (1, 0, 0), ((0, 0, 1),)),
 }
 
+ZK_NAMES = ("z1", "z2", "z3")
 DECK_GROUP_NAMES = tuple(sorted(_BUILTIN_DECKS))
-GENERATED_GROUP_NAMES = ("z1", "z2", "z3", "heisenberg") + DECK_GROUP_NAMES
+GENERATED_GROUP_NAMES = ZK_NAMES + ("heisenberg",) + DECK_GROUP_NAMES
+# every --space name, table order first
+SPACE_NAMES = tuple(_BUILTIN_DECKS) + ZK_NAMES
 
 
 @cache
@@ -931,9 +880,22 @@ def builtin_deck_group(name: str) -> DeckGroup:
     """The bundled deck group ``name`` (z1-z3 too), built and validated once
     per process and then shared, frozen: a gain for command streams in one
     process, none for a one-shot CLI call. ORBITLAB_CAP is read per scan."""
-    if name in ("z1", "z2", "z3"):
+    if name in ZK_NAMES:
         return zk_deck(int(name[1]))
     try:
-        return _BUILTIN_DECKS[name]()
+        row = _BUILTIN_DECKS[name]
     except KeyError:
         raise KeyError(f"unknown deck group {name!r}; choose from {sorted(DECK_GROUP_NAMES)}") from None
+    return _bundled(name, *row)
+
+
+def hurewicz_images(name: str) -> List[Tuple[object, Tuple[int, ...]]]:
+    """(generator, image in the abelianization Z^k) pairs: x and y of the
+    Heisenberg group, or a lattice deck's word generators and coordinates."""
+    if name == "heisenberg":
+        return list(zip(HEISENBERG_SERIES[:2], [(1, 0), (0, 1)]))
+    if name in GENERATED_GROUP_NAMES:
+        deck = builtin_deck_group(name)
+        if deck.index_over_lattice == 1:
+            return [(g, deck.normal_form(g).coords) for g in deck.word_generators]
+    raise ValueError(f"no bundled abelianization data for {name!r}")

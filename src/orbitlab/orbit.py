@@ -17,7 +17,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import algebra
 from .errors import InconsistentCosets, InsufficientSamples
-from .euclid import Isometry, Point, frac, leq_radius_plus_sqrt
+from .euclid import Isometry, Point, frac, leq_radius_plus_sqrt, mat_inverse
 from .groups import DeckGroup, DeckWord, GeneratedGroup, word_ball, word_ball_counts
 from .groups import _ball_limit, _plus_sqrt_limit
 
@@ -258,14 +258,8 @@ def _membership(whole: DeckGroup, sub: DeckGroup) -> Callable[[DeckWord], bool]:
     reps = [whole.normal_form(r) for r in sub.coset_reps]
     rows = [whole.lattice.coordinates(b) for b in sub.lattice.basis]
     det = algebra.int_determinant(rows)
-    k = len(rows)
-
-    def cofactor(i: int, j: int) -> int:
-        minor = [[v for c, v in enumerate(row) if c != j] for r, row in enumerate(rows) if r != i]
-        return (-1) ** (i + j) * algebra.int_determinant(minor)
-
-    # column l of adj(S): adj(S)[i][l] is the (l, i) cofactor
-    adj_cols = [[cofactor(l, i) for i in range(k)] for l in range(k)]
+    # the columns of adj(S) = det S * S^-1, an integer matrix
+    adj_cols = list(zip(*([int(det * x) for x in row] for row in mat_inverse(rows))))
 
     def inside(g: DeckWord) -> bool:
         for r in reps:
@@ -278,23 +272,20 @@ def _membership(whole: DeckGroup, sub: DeckGroup) -> Callable[[DeckWord], bool]:
     return inside
 
 
-def coset_transversal(whole: DeckGroup, sub: DeckGroup, index: int) -> List[Isometry]:
-    """Representatives k_i with whole = union of sub * k_i (right cosets)."""
-    gens = whole.generated().generators
-    ident = Isometry.identity(whole.dimension)
-    reps = [ident]
-    frontier = [ident]
+def coset_transversal(whole: DeckGroup, sub: DeckGroup, index: int) -> List[DeckWord]:
+    """Representatives k_i with whole = union of sub * k_i (right cosets),
+    in normal form: a breadth-first search over whole's word generators."""
+    words = whole.words()
+    if words is None:
+        raise InconsistentCosets("a word generator lies outside the deck group")
+    inside = _membership(whole, sub)
+    reps, frontier = [words.identity], [words.identity]
     while frontier and len(reps) < index:
         grown = []
-        for g in frontier:
-            for s in gens:
-                c = g * s
-                if any((c * r.inverse()) in sub for r in reps):
-                    continue
+        for c in (g * s for g in frontier for s in words.generators):
+            if len(reps) < index and not any(inside(c * r.inverse()) for r in reps):
                 reps.append(c)
                 grown.append(c)
-                if len(reps) == index:
-                    return reps
         frontier = grown
     if len(reps) != index:
         raise InconsistentCosets(
@@ -317,16 +308,15 @@ def finite_index_comparison(
     """
     index = subgroup_index(whole, sub)
     transversal = coset_transversal(whole, sub, index)
-    r0_sq = Fraction(0)
-    for k in transversal:
-        r0_sq = max(r0_sq, k.displacement_sq(x))
+    disp_scale, disp = whole.word_displacements(x)
+    r0_sq = Fraction(max(map(disp, transversal)), disp_scale)
 
     rs = sorted(int(r) for r in radii)
     # factorization sanity on the largest whole-group ball: each element
     # must land in exactly one right coset of the subgroup (in normal form)
     scale, _, whole_records = whole._records(x, x, _ball_limit(frac(rs[-1] * rs[-1])))
     inside = _membership(whole, sub)
-    k_inverses = [whole.normal_form(k.inverse()) for k in transversal]
+    k_inverses = [k.inverse() for k in transversal]
     for *_, c, m in whole_records:
         g = DeckWord(c, m, whole._kernel)
         matches = sum(1 for k in k_inverses if inside(g * k))

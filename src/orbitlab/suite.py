@@ -93,7 +93,7 @@ def _index(seed: int, samples: int, radii: List[int]) -> StageResult:
 def _thin(seed: int, samples: int, radii: List[int], thin_samples: int, halve: bool, trials: int) -> StageResult:
     deck = groups.builtin_deck_group("cylinder2")
     base = flatgeo.default_base(deck)
-    axis = flatgeo.SOUL_AXES["cylinder2"]
+    axis = flatgeo.soul_axis(deck)
     trend = flatgeo.thin_trend(deck, base, radii, 1, axis, samples=thin_samples, seed=seed)
     rng = random.Random(seed)
 
@@ -125,7 +125,7 @@ def _growth(seed: int, samples: int, names: List[str], radii: List[int], tol: fl
         deck = groups.builtin_deck_group(name)
         exps[name] = orbit.orbit_growth(deck, flatgeo.default_base(deck), radii).fitted_exponent
     listing = ", ".join(f"{k}={v:.3f}" for k, v in exps.items())
-    close = all(abs(exps[name] - flatgeo.SOUL_DIMENSIONS[name]) <= tol for name in names)
+    close = all(abs(exps[name] - flatgeo.soul_dimension(name)) <= tol for name in names)
     return (
         f"fitted exponents matched soul dimensions within {tol}: {listing}",
         [(close, f"an exponent strayed past {tol}: {listing}")],
@@ -138,7 +138,7 @@ def _classify(seed: int, samples: int, trials: int) -> StageResult:
     flip = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
     cases = [
         ("cylinder", [Isometry.translation_by((0, 1))], "product"),
-        ("moebius-band", [groups.moebius2_deck().coset_reps[1]], "moebius"),
+        ("moebius-band", [groups.builtin_deck_group("moebius2").coset_reps[1]], "moebius"),
         ("two-reflection", [Isometry(flip, (1, 0, 0)), Isometry(flip, (0, 1, 0))], "moebius"),
     ]
     verdicts = {}

@@ -176,6 +176,31 @@ def test_soul_dim(capsys):
     assert doc["soul_dimension"] == 2
 
 
+@pytest.mark.parametrize("spelling", ["z2", "Z^2"])
+def test_soul_dim_of_a_lattice_space(capsys, spelling):
+    code, doc = run_json(capsys, "soul-dim", "--space", spelling)
+    assert code == 0
+    assert (doc["space"], doc["soul_dimension"]) == ("z2", 2)
+
+
+def test_thin_set_on_a_compact_lattice_space(capsys):
+    # the soul is the whole torus, so the thin set is the quotient ball:
+    # at radius 1 that is the whole unit cell
+    code, doc = run_json(capsys, "thin-set", "--space", "z2", "--h", "1", "--radii", "1",
+                         "--samples", "1000")
+    assert code == 0
+    row = doc["rows"][0]
+    assert abs(row["value"] - 1) <= 4 * row["stderr"]
+
+
+def test_every_space_name_reaches_every_space_command(capsys):
+    """soul-dim and orbit-count accept the same names, Z^k spellings too."""
+    names = list(cli.SPACE_CHOICES) + [f"Z^{k}" for k in (1, 2, 3)]
+    for name in names:
+        assert run(capsys, "soul-dim", "--space", name)[0] == 0, name
+        assert run(capsys, "orbit-count", "--space", name, "--radii", "1")[0] == 0, name
+
+
 def test_snf_inline_matrix(capsys):
     code, doc = run_json(capsys, "snf", "--matrix", "[[1,2],[3,4],[5,6]]")
     assert code == 0
@@ -226,6 +251,13 @@ def test_injection_check_hurewicz(capsys):
     assert doc["abelian_count"] == 25
     assert doc["group_count"] == 25
     assert doc["injective"] is True
+
+
+@pytest.mark.parametrize("space,count", [("torus2", 25), ("cylinder2", 7)])
+def test_injection_check_hurewicz_on_a_lattice_deck(capsys, space, count):
+    code, doc = run_json(capsys, "injection-check", "--kind", "hurewicz", "--group", space, "--radius", "3")
+    assert code == 0
+    assert (doc["abelian_count"], doc["group_count"], doc["ok"]) == (count, count, True)
 
 
 def test_warped_distance_translates(capsys):
@@ -298,6 +330,9 @@ def test_classify_noncommuting_fails_with_error_payload(capsys):
         ("rank", "--presentation", '{"num_generators": 1.5}'),
         ("rank", "--num-generators", "-1"),
         ("injection-check", "--box", "-1"),
+        # Hurewicz images are bundled for heisenberg and lattice decks only
+        ("injection-check", "--kind", "hurewicz", "--group", "moebius2"),
+        ("soul-dim", "--space", "no-such-space"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -15,8 +15,6 @@ from orbitlab.errors import (
 from orbitlab.euclid import Isometry, Point
 from orbitlab.flatgeo import (
     BASE_POINTS,
-    SOUL_AXES,
-    SOUL_DIMENSIONS,
     ball_volume,
     classify_flat,
     dirichlet_contains,
@@ -24,11 +22,12 @@ from orbitlab.flatgeo import (
     nearest_lifts,
     ray_extension,
     reference_ball_volume,
+    soul_axis,
     soul_dimension,
     thin_set_volume,
     verify_dual,
 )
-from orbitlab.groups import DECK_GROUP_NAMES, DeckGroup, builtin_deck_group
+from orbitlab.groups import DeckGroup, TranslationLattice, builtin_deck_group
 
 # --------------------------------------------------------------------------
 # cells and lifts
@@ -338,20 +337,22 @@ def test_soul_dimensions_table():
     assert soul_dimension("torus2") == 2
     assert soul_dimension("moebiusxT") == 2
     assert soul_dimension("klein2") == 2
-    assert SOUL_DIMENSIONS["torus2"] == 2
+    assert [soul_dimension(f"z{k}") for k in (1, 2, 3)] == [1, 2, 3]
     with pytest.raises(KeyError):
         soul_dimension("nope")
 
 
-@pytest.mark.parametrize("name", DECK_GROUP_NAMES)
-def test_soul_tables_match_the_decks(name):
-    """The soul is the lattice's span: its dimension is the rank, and a
-    soul axis exists exactly when the rank falls short, as the one
-    coordinate axis orthogonal to every basis vector."""
-    lattice = builtin_deck_group(name).lattice
-    assert SOUL_DIMENSIONS[name] == lattice.rank
-    normal = [i for i in range(lattice.dimension) if all(b[i] == 0 for b in lattice.basis)]
-    if lattice.rank == lattice.dimension:
-        assert SOUL_AXES[name] is None
-    else:
-        assert normal == [SOUL_AXES[name]]
+@pytest.mark.parametrize("name,axis", [
+    ("torus2", None), ("cylinder2", 0), ("moebius2", 1), ("klein2", None), ("moebiusxT", 1), ("z2", None),
+])
+def test_soul_axes(name, axis):
+    assert soul_axis(builtin_deck_group(name)) == axis
+
+
+def test_soul_axis_refuses_a_soul_off_the_coordinate_hyperplane():
+    # s(x, y) = (x + 1, 1 - y) fixes the line y = 1/2, so |y| is not the
+    # distance to the soul
+    glide = Isometry([[1, 0], [0, -1]], (1, 1))
+    deck = DeckGroup(2, TranslationLattice([(2, 0)]), (Isometry.identity(2), glide))
+    with pytest.raises(UnsupportedMethod):
+        soul_axis(deck)

@@ -117,7 +117,7 @@ def test_translation_subgroup_moebius():
 def test_coset_transversal_covers():
     deck = builtin_deck_group("klein2")
     sub = translation_subgroup(deck)
-    reps = coset_transversal(deck, sub, 2)
+    reps = [k.isometry() for k in coset_transversal(deck, sub, 2)]
     assert len(reps) == 2
     assert reps[0] == Isometry.identity(2)
     # the nontrivial representative is a genuine reflection

@@ -583,7 +583,7 @@ def test_volumes_read_integer_records(monkeypatch):
 
     def volumes():
         flatgeo.ball_volume(deck, center, 2, samples=1000)
-        flatgeo.thin_set_volume(deck, center, 2, 1, flatgeo.SOUL_AXES["moebiusxT"], samples=1000)
+        flatgeo.thin_set_volume(deck, center, 2, 1, flatgeo.soul_axis(deck), samples=1000)
         flatgeo.verify_dual(deck, center, [1, 2, 3], samples=1000)
 
     volumes()

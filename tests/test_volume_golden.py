@@ -70,7 +70,7 @@ def golden_outcome(case):
                                              seed=case["seed"]))
     if call == "thin_set_volume":
         return _estimate(flatgeo.thin_set_volume(
-            deck, base, case["radius"], case["thickness"], flatgeo.SOUL_AXES[name],
+            deck, base, case["radius"], case["thickness"], flatgeo.soul_axis(deck),
             samples=case["samples"], seed=case["seed"]))
     if call == "verify_dual":
         rep = flatgeo.verify_dual(deck, base, case["radii"], samples=case["samples"],
