@@ -117,6 +117,12 @@ def _selector(name: str) -> str:
     return name.strip()
 
 
+def _seed(text: str) -> int:  # numpy takes only non-negative integer seeds
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _element_json(g) -> Any:
     if isinstance(g, HeisenbergElement):
         return [g.a, g.b, g.c]
@@ -443,6 +449,8 @@ def _cmd_injection_check(args) -> CommandResult:
             "ok": ok,
         }
         return payload, ok, None
+    if args.group != "heisenberg":
+        raise ValueError(f"the polycyclic check is bundled for heisenberg only, not {args.group!r}")
     rep = algebra.polycyclic_injection(
         HEISENBERG_IDENTITY, HEISENBERG_SERIES, args.box, cap=args.cap or 10_000_000
     )
@@ -624,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--base")
     sc.add_argument("--radii")
     sc.add_argument("--samples", type=int, default=200000)
-    sc.add_argument("--seed", type=int, default=7)
+    sc.add_argument("--seed", type=_seed, default=7)
     sc.add_argument("--word-variant", action="store_true", help="add word-count upper-bound rows")
     sc.add_argument("--tol", type=float, default=warped.DEFAULT_TOL)
     sc.add_argument("--square-warp", action="store_true")
@@ -637,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--radii", "--radius", dest="radii", required=True)
     sc.add_argument("--thickness", "--h", dest="thickness", required=True)
     sc.add_argument("--samples", type=int, default=20000)
-    sc.add_argument("--seed", type=int, default=7)
+    sc.add_argument("--seed", type=_seed, default=7)
     sc.set_defaults(func=_cmd_thin_set)
 
     sc = sub.add_parser("dirichlet", parents=[common], help="cell membership and ray extension")
@@ -700,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("paper-suite", parents=[common], help="run the bundled verification stages")
     sc.add_argument("--quick", action="store_true", help="small parameters, under a minute")
-    sc.add_argument("--seed", type=int, default=7)
+    sc.add_argument("--seed", type=_seed, default=7)
     sc.add_argument("--samples", type=int, default=None)
     sc.set_defaults(func=_cmd_suite)
 
@@ -773,19 +781,24 @@ def _emit(payload: Dict[str, Any], args, csv_data) -> None:
         if csv_data is None:
             raise ValueError(f"{payload.get('command')} has no CSV projection")
         header, rows = csv_data
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(x) for x in row))
+        _print("\n".join([",".join(header)] + [",".join(str(x) for x in row) for row in rows]))
         return
-    print(json.dumps(payload, indent=2))
+    _print(json.dumps(payload, indent=2))
 
 
 def _emit_error(e: BaseException, args) -> None:
     """A structured error object on stdout, a human line on stderr."""
     obj = {"error": type(e).__name__, "message": str(e)}
     if getattr(args, "format", "json") == "json":
-        print(json.dumps(obj, indent=2))
+        _print(json.dumps(obj, indent=2))
     print(f"orbitlab: {obj['error']}: {obj['message']}", file=sys.stderr)
+
+
+def _print(text: str) -> None:  # to stdout, or devnull once its reader has gone (| head)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 @functools.lru_cache(maxsize=None)

@@ -313,7 +313,7 @@ def cKDTree(points):
 
 # the most samples one indicator call sees; blocks hold whole cells, so
 # only a single cell larger than this makes a larger block
-_BLOCK_SAMPLES = 1 << 16
+_BLOCK_SAMPLES = 1 << 14
 
 
 def _stratified_estimate(
@@ -367,11 +367,10 @@ def _stratified_estimate(
     while a < cells:
         start = int(ends[a] - ms[a])
         b = max(a + 1, int(np.searchsorted(ends, start + _BLOCK_SAMPLES, side="right")))
-        owner = np.repeat(np.arange(b - a), ms[a:b])
         pts = rng.random((int(ends[b - 1]) - start, dim))
-        pts *= width[a:b][owner]
-        pts += cell_lo[a:b][owner]
-        hits[a:b] = np.bincount(owner[np.flatnonzero(indicator(pts))], minlength=b - a)
+        pts *= np.repeat(width[a:b], ms[a:b], axis=0)
+        pts += np.repeat(cell_lo[a:b], ms[a:b], axis=0)
+        hits[a:b] = np.add.reduceat(indicator(pts), ends[a:b] - ms[a:b] - start, dtype=np.int64)
         a = b
     total = 0.0
     var = 0.0
@@ -404,6 +403,33 @@ def _orbit_cloud(deck: DeckGroup, center: Point, reach_sq: Fraction):
     return pts, uniq.index(_ints(tuple(center), den))
 
 
+def _prefiltered(decide, cloud, center_idx: int, reach_sq: float, slack: float):
+    """``decide`` as an indicator that skips, as certain rejects, the rows p
+    with |p - c|^2 > ``reach_sq`` or with 2 (p - c).(g - c) - |g - c|^2 =
+    |p - c|^2 - |p - g|^2 > ``slack``, g one of the 8 orbit points nearest c."""
+    import numpy as np
+    off = cloud - cloud[center_idx]
+    rivals = [(2 * g, g @ g + slack) for g in off[np.argsort(np.einsum("ij,ij->i", off, off))[1:9]]]
+
+    def indicator(pts: np.ndarray) -> np.ndarray:
+        # temporaries of one value per row: a column, then a rival, at a time
+        sq, t = np.zeros(len(pts)), np.empty(len(pts))
+        for i, c in enumerate(cloud[center_idx].tolist()):
+            sq += np.square(np.subtract(pts[:, i], c, out=t), out=t)
+        rows = np.flatnonzero(sq <= reach_sq)
+        del sq, t
+        d = pts[rows]
+        d -= cloud[center_idx]
+        for g2, bound in rivals:
+            ok = d @ g2 <= bound
+            rows, d = rows[ok], d[ok]
+        inside = np.zeros(len(pts), dtype=bool)
+        inside[rows] = decide(pts[rows])
+        return inside
+
+    return indicator
+
+
 def ball_volume(
     deck: DeckGroup,
     center: Point,
@@ -416,7 +442,8 @@ def ball_volume(
     The ball lifts to {y : |y - center| <= radius and center is the
     nearest orbit point of the center's orbit}, so the indicator is one
     nearest-neighbor query against the orbit cloud out to 2*radius, read
-    off one integer orbit scan (`_orbit_cloud`).
+    off one integer orbit scan (`_orbit_cloud`). The query would reject the
+    rows `_prefiltered` skips at 1e-9 r^2, as its rounding is below 1e-13 r^2.
     """
     import numpy as np
     r = frac(radius)
@@ -425,14 +452,15 @@ def ball_volume(
     cloud, center_idx = _orbit_cloud(deck, center, 4 * r * r)
     tree = cKDTree(cloud)
     rf = float(r)
-    cf = np.array([float(c) for c in center], dtype=float)
+    cf = cloud[center_idx]
     lo = cf - rf
     hi = cf + rf
 
-    def indicator(pts: np.ndarray) -> np.ndarray:
+    def decide(pts: np.ndarray) -> np.ndarray:
         dist, idx = tree.query(pts)
         return (idx == center_idx) & (dist <= rf)
 
+    indicator = _prefiltered(decide, cloud, center_idx, rf * rf * (1 + 1e-9), 1e-9 * rf * rf)
     return _stratified_estimate(indicator, lo, hi, samples, seed)
 
 
@@ -448,9 +476,13 @@ def thin_set_volume(
     """Volume of the ball intersected with the ``thickness``-neighborhood
     of the core, for quotients whose core distance is a coordinate.
 
-    Samples that land within a 1e-6 relative margin of any boundary are
+    Samples that land within a 1e-6 relative margin m of any boundary are
     re-decided in exact rational arithmetic, so the estimate never flips
-    on floating-point ties.
+    on floating-point ties, except a sample that an orbit point g beats by
+    more than 2m: `_prefiltered` skips it and those with |p - c| > R = r +
+    2m, certain rejects. Past R, |p - c| > r in floats and exactly. Within
+    R, |p - c|^2 - |p - g|^2 > 5mR gives |p - c| - |p - g| > 2.5m: c is not
+    the kd-tree's nearest, no tie is flagged, and g is nearer exactly too.
     """
     import numpy as np
     r = frac(radius)
@@ -461,7 +493,7 @@ def thin_set_volume(
     tree = cKDTree(cloud)
     rf = float(r)
     hf = float(hh)
-    cf = np.array([float(c) for c in center], dtype=float)
+    cf = cloud[center_idx]
     lo = cf - rf
     hi = cf + rf
     if soul_axis is not None:
@@ -471,20 +503,14 @@ def thin_set_volume(
             raise ValueError("the sampling box is empty; center sits outside the slab")
     margin_r = 1e-6 * max(rf, 1.0)
     margin_h = 1e-6 * max(hf, 1.0)
-    ctuple = tuple(center)
 
     def exact_inside(row: np.ndarray) -> bool:
         p = Point(tuple(Fraction(float(v)) for v in row))
-        d2 = vec_dot(vec_sub(tuple(p), ctuple), vec_sub(tuple(p), ctuple))
-        if d2 > r * r:
-            return False
-        if d2 != deck.quotient_dist_sq(p, Point(ctuple)):
-            return False
-        if soul_axis is not None and abs(p[soul_axis]) > hh:
-            return False
-        return True
+        d = vec_sub(tuple(p), tuple(center))
+        return (vec_dot(d, d) <= r * r and dirichlet_contains(deck, center, p)
+                and (soul_axis is None or abs(p[soul_axis]) <= hh))
 
-    def indicator(pts: np.ndarray) -> np.ndarray:
+    def decide(pts: np.ndarray) -> np.ndarray:
         dist, idx = tree.query(pts, k=2)
         center_nearest = idx[:, 0] == center_idx
         inside = center_nearest & (dist[:, 0] <= rf)
@@ -502,6 +528,7 @@ def thin_set_volume(
             inside[i] = exact_inside(pts[i])
         return inside
 
+    indicator = _prefiltered(decide, cloud, center_idx, (rf + 2 * margin_r) ** 2, 5 * margin_r * (rf + 2 * margin_r))
     return _stratified_estimate(indicator, lo, hi, samples, seed)
 
 

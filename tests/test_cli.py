@@ -330,6 +330,9 @@ def test_classify_noncommuting_fails_with_error_payload(capsys):
         ("rank", "--presentation", '{"num_generators": 1.5}'),
         ("rank", "--num-generators", "-1"),
         ("injection-check", "--box", "-1"),
+        # the polycyclic check is bundled for heisenberg only
+        ("injection-check", "--group", "torus2", "--box", "1"),
+        ("paper-suite", "--quick", "--config", "seed=-1"),
         # Hurewicz images are bundled for heisenberg and lattice decks only
         ("injection-check", "--kind", "hurewicz", "--group", "moebius2"),
         ("soul-dim", "--space", "no-such-space"),
@@ -341,6 +344,18 @@ def test_usage_errors_exit_2(capsys, argv):
     doc = json.loads(out)
     assert set(doc) == {"error", "message"}
     assert doc["error"] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("paper-suite", "--seed", "-1"),
+    ("verify-dual", "--space", "torus2", "--radii", "1", "--seed", "-3"),
+    ("thin-set", "--space", "cylinder2", "--radii", "4", "--h", "1", "--seed", "x"),
+])
+def test_a_seed_is_a_non_negative_integer_or_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        cli.main(list(argv))
+    assert e.value.code == 2
+    assert "--seed: expected a non-negative integer" in capsys.readouterr().err
 
 
 def test_csv_requested_where_none_exists(capsys):
@@ -556,6 +571,28 @@ def _run_alone(argv):
     proc = subprocess.run([sys.executable, "-m", "orbitlab", *argv], capture_output=True,
                           text=True, env=env, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv,code,unbuffered", [
+    (("injection-check", "--kind", "hurewicz", "--group", "heisenberg", "--radius", "1"), 0, True),
+    (("injection-check", "--kind", "hurewicz", "--group", "heisenberg", "--radius", "1"), 0, False),
+    (("injection-check", "--group", "torus2"), 2, False),
+])
+def test_a_closed_stdout_ends_quietly_with_the_commands_own_code(argv, code, unbuffered):
+    # as `... | head -3` does once head has read its lines
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "orbitlab", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == code
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert err == ("" if code == 0 else "orbitlab: ValueError: the polycyclic check is bundled for "
+                   "heisenberg only, not 'torus2'\n")
 
 
 def test_one_parser_serves_every_call_as_a_fresh_process(capsys, monkeypatch):
