@@ -107,8 +107,8 @@ def _orthogonal_identity(n: int) -> _Orthogonal:
 def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
     """Reduced row echelon form of ``rows`` and its pivot columns, exactly.
 
-    This is the one Fraction elimination: solves, inverses, ranks and
-    kernels are all read off its result.
+    This is the one Fraction elimination: inverses, ranks and kernels
+    are all read off its result.
     """
     work = [list(row) for row in rows]
     ncols = len(work[0]) if work else 0
@@ -131,22 +131,13 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[List[Fraction]], List
     return work, pivots
 
 
-def _solve(a: Matrix, b: Matrix) -> Matrix:
-    """X with a X = b, for square invertible a; b is given by its rows."""
+def mat_inverse(a: Matrix) -> Matrix:
+    """a^-1 exactly; raises ZeroDivisionError when a is singular."""
     n = len(a)
-    reduced, pivots = rref([tuple(row) + tuple(rhs) for row, rhs in zip(a, b)])
+    reduced, pivots = rref([tuple(row) + tuple(rhs) for row, rhs in zip(a, mat_identity(n))])
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("singular matrix")
     return tuple(tuple(row[n:]) for row in reduced)
-
-
-def solve_square(a: Matrix, b: Vector) -> Vector:
-    """Solve a x = b exactly for square invertible a."""
-    return tuple(row[0] for row in _solve(a, [(x,) for x in b]))
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    return _solve(a, mat_identity(len(a)))
 
 
 def mat_rank(rows: Sequence[Vector]) -> int:
@@ -176,14 +167,6 @@ def leq_radius_plus_sqrt(d2: Fraction, r: Fraction, q: Fraction) -> bool:
     if a <= 0:
         return True
     return a * a <= 4 * r * r * q
-
-
-def sqrt_leq_sqrt_plus_sqrt(a: Fraction, b: Fraction, c: Fraction) -> bool:
-    """Decide sqrt(a) <= sqrt(b) + sqrt(c) exactly, for a, b, c >= 0."""
-    t = a - b - c
-    if t <= 0:
-        return True
-    return t * t <= 4 * b * c
 
 
 @dataclass(frozen=True)

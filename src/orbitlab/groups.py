@@ -2,8 +2,8 @@
 
 Two flavors of group live here. ``GeneratedGroup`` is a thin wrapper
 around any hashable elements with ``*`` and ``.inverse()`` (exact
-isometries, Heisenberg triples) and feeds the breadth-first word-ball
-machinery. ``DeckGroup`` models a cocompact group of euclidean
+isometries, Heisenberg triples) and feeds `word_spheres`, the one
+breadth-first word search. ``DeckGroup`` models a cocompact group of euclidean
 isometries as finitely many isometry cosets over a translation lattice,
 which makes orbit enumeration exact: every orbit point in a ball is
 found by integer lattice search, never by flood fill.
@@ -30,9 +30,10 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import accumulate, count
 from math import floor, isqrt, lcm
 from operator import add, mul, sub
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     CapExceeded,
@@ -98,7 +99,8 @@ class GeneratedGroup:
     """A group presented by a finite symmetric generating set.
 
     ``generators`` never contains the identity and is closed under
-    inverses; use :meth:`closure` to build one from an arbitrary list.
+    inverses, which the constructor checks and `word_spheres` relies on;
+    use :meth:`closure` to build one from an arbitrary list.
     ``words``, if set, is the same group in normal form (`DeckGroup.words`),
     generators in the same order: word balls search there, on int tuples.
     """
@@ -107,6 +109,11 @@ class GeneratedGroup:
     generators: tuple
     name: str = ""
     words: Optional["GeneratedGroup"] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        gens = set(self.generators)
+        if self.identity in gens or any(g.inverse() not in gens for g in self.generators):
+            raise ValueError("generators must omit the identity and be closed under inverses")
 
     @classmethod
     def closure(cls, identity, generators: Iterable, name: str = "", words=None) -> "GeneratedGroup":
@@ -121,78 +128,75 @@ class GeneratedGroup:
         return cls(identity=identity, generators=tuple(out), name=name, words=words)
 
 
-def word_ball(group: GeneratedGroup, radius: int, cap: Optional[int] = None) -> Dict[object, int]:
-    """Map each element of word length <= radius to its word length; on a
-    ``words`` twin when there is one, each word mapped back in order."""
-    if group.words is not None:
-        return {w.isometry(): d for w, d in word_ball(group.words, radius, cap=cap).items()}
-    if radius < 0:
+def word_spheres(group: GeneratedGroup, radius: Optional[int] = None,
+                 cap: Optional[int] = None) -> Iterator[List[object]]:
+    """The spheres of word length 0, 1, 2, ... (to ``radius`` if given, until
+    they run out) as lists, in breadth-first order: the one word search.
+
+    The generators are symmetric, so the neighbours of sphere d lie in
+    spheres d - 1, d and d + 1, and only those three are held. Raises
+    CapExceeded once the ball would pass ``cap`` elements (default
+    `enumeration_cap`); the identity alone never does.
+    """
+    if radius is not None and radius < 0:
         raise ValueError("radius must be nonnegative")
+    depths = count(1) if radius is None else range(1, radius + 1)
     limit = enumeration_cap() if cap is None else cap
-    lengths: Dict[object, int] = {group.identity: 0}
-    frontier = [group.identity]
-    for depth in range(1, radius + 1):
+    room = max(limit, 1) - 1  # elements the ball may take beyond the identity
+    inner: List[object] = []
+    sphere = [group.identity]
+    seen = {group.identity}
+    yield sphere
+    for _ in depths:
         grown: List[object] = []
-        for g in frontier:
+        for g in sphere:
             for s in group.generators:
                 h = g * s
-                if h not in lengths:
-                    if len(lengths) >= limit:
-                        raise CapExceeded(
-                            f"word ball of radius {radius} exceeds {limit} elements",
-                            limit=limit,
-                        )
-                    lengths[h] = depth
+                if h not in seen:
+                    seen.add(h)
                     grown.append(h)
+            if len(grown) > room:
+                raise CapExceeded(f"word ball of radius {radius} exceeds {limit} elements", limit=limit)
         if not grown:
-            break
-        frontier = grown
-    return lengths
+            return
+        yield grown
+        room -= len(grown)
+        seen.difference_update(inner)
+        inner, sphere = sphere, grown
+
+
+def word_ball(group: GeneratedGroup, radius: int, cap: Optional[int] = None) -> Dict[object, int]:
+    """Map each element of word length <= radius to its word length; on a
+    ``words`` twin when there is one, each word mapped back in order. The
+    one caller of `word_spheres` that keeps the whole ball."""
+    if group.words is not None:
+        return {w.isometry(): d for w, d in word_ball(group.words, radius, cap=cap).items()}
+    return {g: d for d, sphere in enumerate(word_spheres(group, radius, cap)) for g in sphere}
 
 
 def word_ball_counts(group: GeneratedGroup, max_radius: int, cap: Optional[int] = None) -> List[int]:
     """Cumulative word-ball sizes [#W(0), ..., #W(max_radius)], on the ``words`` twin if any."""
-    lengths = word_ball(group.words or group, max_radius, cap=cap)
-    counts = [0] * (max_radius + 1)
-    for depth in lengths.values():
-        counts[depth] += 1
-    total = 0
-    out = []
-    for c in counts:
-        total += c
-        out.append(total)
-    return out
+    sizes = [0] * (max_radius + 1)
+    for depth, sphere in enumerate(word_spheres(group.words or group, max_radius, cap)):
+        sizes[depth] = len(sphere)
+    return list(accumulate(sizes))
 
 
 def word_length(group: GeneratedGroup, element, cap: Optional[int] = None) -> int:
-    """Least number of generators multiplying to ``element``; searched on
-    the ``words`` twin when there is one, which refuses a foreign element."""
+    """Least number of generators multiplying to ``element``, on the ``words``
+    twin when there is one (which refuses a foreign element): d exactly when
+    the element lies in sphere d and B(d) keeps within ``cap`` by the rule of
+    `word_spheres`, whatever the generator order; else NotFoundWithinCap."""
     if group.words is not None:
         group, element = group.words, group.words.identity.kernel.normal_form(element)
         if element is None:
             raise NotFoundWithinCap("element is not in the deck group")
-    limit = enumeration_cap() if cap is None else cap
-    if element == group.identity:
-        return 0
-    lengths = {group.identity: 0}
-    frontier = [group.identity]
-    depth = 0
-    while frontier:
-        depth += 1
-        grown = []
-        for g in frontier:
-            for s in group.generators:
-                h = g * s
-                if h == element:
-                    return depth
-                if h not in lengths:
-                    if len(lengths) >= limit:
-                        raise NotFoundWithinCap(
-                            f"no word of length <= cap {limit} reaches the element"
-                        )
-                    lengths[h] = depth
-                    grown.append(h)
-        frontier = grown
+    try:
+        for depth, sphere in enumerate(word_spheres(group, cap=cap)):
+            if element in sphere:
+                return depth
+    except CapExceeded as exc:
+        raise NotFoundWithinCap(f"no word of length <= cap {exc.limit} reaches the element") from None
     raise NotFoundWithinCap("element is not in the generated group")
 
 

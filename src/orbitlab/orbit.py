@@ -11,6 +11,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import log
 from operator import mul, sub as sub_
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -18,7 +19,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 from . import algebra
 from .errors import InconsistentCosets, InsufficientSamples
 from .euclid import Isometry, Point, frac, leq_radius_plus_sqrt, mat_inverse
-from .groups import DeckGroup, DeckWord, GeneratedGroup, word_ball, word_ball_counts
+from .groups import DeckGroup, DeckWord, GeneratedGroup, word_ball_counts, word_spheres
 from .groups import _ball_limit, _plus_sqrt_limit
 
 
@@ -170,16 +171,14 @@ def milnor_check(
         raise ValueError("every generator fixes the base point; no displacement bound")
     h_sq = Fraction(h_int, scale)
     rs = sorted(int(r) for r in radii)
-    lengths = word_ball(group, rs[-1], cap=cap)
 
     pointwise: List[Tuple[int, str]] = []
-    word_cum = [0] * (rs[-1] + 1)
-    for g, depth in lengths.items():
-        word_cum[depth] += 1
-        if disp(g) > h_int * depth * depth:
-            pointwise.append((depth, str(g.to_obj())))
-    for i in range(1, len(word_cum)):
-        word_cum[i] += word_cum[i - 1]
+    sizes = [0] * (rs[-1] + 1)
+    for depth, sphere in enumerate(word_spheres(group, rs[-1], cap)):
+        bound = h_int * depth * depth
+        pointwise.extend((depth, str(g.to_obj())) for g in sphere if disp(g) > bound)
+        sizes[depth] = len(sphere)
+    word_cum = list(accumulate(sizes))
 
     # the orbit radius h*r may be irrational but its square h^2 r^2 is not
     orbit_counts = ball_counts(deck, x, [h_sq * r * r for r in rs])

@@ -69,18 +69,6 @@ def warp(r: float) -> float:
     return (1.25 * u - 2.0) * u * u + 1.0
 
 
-def warp_derivative(r: float) -> float:
-    """d(warp)/dr; the one-sided limits agree at |r| = 1 and |r| = 2."""
-    t = abs(float(r))
-    sign = 1.0 if r >= 0 else -1.0
-    if t <= 1.0:
-        return 0.0
-    if t >= 2.0:
-        return sign * (-2.0 * t ** -3.0)
-    u = t - 1.0
-    return sign * (3.75 * u - 4.0) * u
-
-
 def metric_factor(r, square: bool = False) -> np.ndarray:
     """Vectorized coefficient of ds^2 (phi, or phi^2 with ``square``)."""
     import numpy as np

@@ -4,6 +4,8 @@ Commands run in-process through cli.main so stdout/stderr and exit codes
 are asserted exactly as a shell would see them.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitlab import cli, groups
 
@@ -503,6 +507,52 @@ def test_config_value_the_flag_would_refuse_is_a_usage_error(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 2
     assert json.loads(out)["error"] == "ValueError"
+
+
+# ---------------------------------------------------------------------------
+# exit codes of the word commands on generated argv
+
+GROUP_NAMES = st.one_of(st.sampled_from(groups.GENERATED_GROUP_NAMES),
+                        st.sampled_from(["Z^1", "z^2", "Z^3", "Z^0", "Z^4", "z^x", "nope", ""]))
+SPACE_NAMES = st.one_of(st.sampled_from(groups.SPACE_NAMES), GROUP_NAMES)
+NUMBERS = st.one_of(st.integers(-3, 8).map(str), st.sampled_from(["0", "-0", "1.5", "2/1", "x", ""]))
+# valid increasing lists half the time, so the commands also run to the end
+RADII = st.one_of(
+    st.sets(st.integers(1, 8), min_size=1, max_size=4).map(lambda rs: ",".join(map(str, sorted(rs)))),
+    st.lists(NUMBERS, min_size=1, max_size=4).map(",".join))
+CAPS = st.one_of(st.integers(-3, 60).map(str), st.sampled_from(["0", "2.5", "cap"]))
+
+
+@st.composite
+def word_command_argv(draw):
+    command = draw(st.sampled_from(["word-ball", "growth-fit", "milnor-check", "injection-check"]))
+    if command == "word-ball":
+        argv = [command, "--group", draw(GROUP_NAMES), "--radius", draw(NUMBERS)]
+        argv += ["--elements"] if draw(st.booleans()) else []
+    elif command == "growth-fit":
+        argv = [command, "--group", draw(GROUP_NAMES), "--radii", draw(RADII)]
+    elif command == "milnor-check":
+        argv = [command, "--space", draw(SPACE_NAMES), "--radii", draw(RADII)]
+    else:
+        argv = [command, "--kind", "hurewicz", "--group", draw(GROUP_NAMES), "--radius", draw(NUMBERS)]
+    if command != "growth-fit" and draw(st.booleans()):
+        argv += ["--cap", draw(CAPS)]
+    return argv
+
+
+@given(word_command_argv())
+@settings(max_examples=60, deadline=None)
+def test_word_commands_exit_on_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse refusing the argv
+            code = e.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------

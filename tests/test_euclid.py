@@ -15,8 +15,6 @@ from orbitlab.euclid import (
     mat_inverse,
     mat_rank,
     point_distance_sq,
-    solve_square,
-    sqrt_leq_sqrt_plus_sqrt,
     sqrt_lower,
     sqrt_upper,
 )
@@ -164,25 +162,8 @@ def test_leq_radius_plus_sqrt_boundary_exact():
     assert not leq_radius_plus_sqrt(Fraction(9) + Fraction(1, 10**9), Fraction(1), Fraction(4))
 
 
-def test_sqrt_leq_sqrt_plus_sqrt():
-    # sqrt(25) <= sqrt(9) + sqrt(4) is an equality
-    assert sqrt_leq_sqrt_plus_sqrt(Fraction(25), Fraction(9), Fraction(4))
-    assert not sqrt_leq_sqrt_plus_sqrt(Fraction(25) + Fraction(1, 10**9), Fraction(9), Fraction(4))
-    rng = random.Random(17)
-    for _ in range(200):
-        a = Fraction(rng.randint(0, 300), rng.randint(1, 7))
-        b = Fraction(rng.randint(0, 300), rng.randint(1, 7))
-        c = Fraction(rng.randint(0, 300), rng.randint(1, 7))
-        want = math.sqrt(a) <= math.sqrt(b) + math.sqrt(c)
-        gap = abs(math.sqrt(a) - (math.sqrt(b) + math.sqrt(c)))
-        if gap > 1e-9:
-            assert sqrt_leq_sqrt_plus_sqrt(a, b, c) == want
-
-
 def test_solve_and_inverse():
     a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    x = solve_square(a, (Fraction(5), Fraction(10)))
-    assert x == (Fraction(1), Fraction(3))
     inv = mat_inverse(a)
     assert inv[0][0] == Fraction(3, 5)
 

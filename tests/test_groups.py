@@ -1,6 +1,7 @@
 """Word balls, exact lattice enumeration, and deck groups."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,59 @@ def test_word_length_translation():
 def test_word_ball_cap():
     with pytest.raises(CapExceeded):
         word_ball(zk_group(2), 10, cap=50)
+
+
+def test_generated_group_refuses_a_generating_set_that_is_not_symmetric():
+    # the quarter turn without its inverse: a word search holding three
+    # spheres would meet the identity again in this group of order 4
+    quarter = Isometry(((0, -1), (1, 0)), (0, 0))
+    with pytest.raises(ValueError, match="closed under inverses"):
+        GeneratedGroup(Isometry.identity(2), (quarter,))
+    with pytest.raises(ValueError, match="omit the identity"):
+        GeneratedGroup(Isometry.identity(2), (Isometry.identity(2),))
+    assert GeneratedGroup(Isometry.identity(2), (quarter, quarter.inverse())).generators[0] == quarter
+
+
+@pytest.mark.parametrize("group,radius", [(zk_group(2), 5), (heisenberg_group(), 4)],
+                         ids=["z2", "heisenberg"])
+def test_word_searches_stop_exactly_when_the_ball_passes_the_cap(group, radius):
+    ball = word_ball(group, radius)
+    size = len(ball)
+    assert word_ball(group, radius, cap=size) == ball
+    assert word_ball_counts(group, radius, cap=size)[-1] == size
+    with pytest.raises(CapExceeded):
+        word_ball(group, radius, cap=size - 1)
+    with pytest.raises(CapExceeded):
+        word_ball_counts(group, radius, cap=size - 1)
+    # word_length finds sphere d exactly when B(d) fits, whichever element
+    # of the sphere comes first
+    sphere = [g for g, d in ball.items() if d == radius]
+    for g in (sphere[0], sphere[-1]):
+        assert word_length(group, g, cap=size) == radius
+        with pytest.raises(NotFoundWithinCap):
+            word_length(group, g, cap=size - 1)
+
+
+def test_milnor_check_stops_exactly_when_the_word_ball_passes_the_cap():
+    size = word_ball_counts(zk_group(2), 5)[-1]
+    rep = milnor_check(zk_deck(2), Point.of(0, 0), [2, 5], cap=size)
+    assert [row.word_count for row in rep.rows] == [13, size]
+    with pytest.raises(CapExceeded):
+        milnor_check(zk_deck(2), Point.of(0, 0), [2, 5], cap=size - 1)
+
+
+def test_word_ball_counts_hold_three_spheres_not_the_ball():
+    # the whole ball of 20,201 words peaks near 3.6 MiB, three spheres
+    # near 0.3 MiB; at r = 100 the traced search takes about a second
+    group = zk_group(2)
+    tracemalloc.start()
+    try:
+        counts = word_ball_counts(group, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[-1] == 2 * 100 * 100 + 2 * 100 + 1
+    assert peak < 2 * 2**20
 
 
 def test_word_length_gives_up_within_cap():

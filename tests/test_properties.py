@@ -1,8 +1,8 @@
 """Property-based differential tests of the exact linear-algebra core
 and of the one orbit-enumeration path.
 
-The one Fraction elimination behind solve_square, mat_inverse, mat_rank
-and the kernel basis, and the Bareiss integer determinant, are checked
+The one Fraction elimination behind mat_inverse, mat_rank and the
+kernel basis, and the Bareiss integer determinant, are checked
 against sympy on random matrices. Random words in each bundled deck's
 generators check that products keep exactly orthogonal parts without
 re-validation, and that input matrices are still checked where they
@@ -56,7 +56,6 @@ from orbitlab.euclid import (
     mat_inverse,
     mat_vec,
     mat_rank,
-    solve_square,
     vec_dot,
     vec_sub,
 )
@@ -68,6 +67,7 @@ from orbitlab.orbit import (
     _membership,
     ball_counts,
     finite_index_comparison,
+    milnor_check,
     subgroup_index,
     translation_subgroup,
 )
@@ -118,15 +118,12 @@ def test_rank_and_kernel_match_sympy(case):
     assert kernel == want
 
 
-@given(square_matrices(), st.data())
+@given(square_matrices())
 @PROPERTY
-def test_solve_and_inverse_match_sympy(rows, data):
+def test_solve_and_inverse_match_sympy(rows):
     n = len(rows)
-    b = tuple(data.draw(ENTRIES) for _ in range(n))
     sym = _sym(rows)
     if sym.det() == 0:
-        with pytest.raises(ZeroDivisionError):
-            solve_square(rows, b)
         with pytest.raises(ZeroDivisionError):
             mat_inverse(rows)
         return
@@ -134,8 +131,6 @@ def test_solve_and_inverse_match_sympy(rows, data):
     assert mat_inverse(rows) == tuple(
         tuple(_frac(inv[i, j]) for j in range(n)) for i in range(n)
     )
-    x = sym.LUsolve(_sym([[v] for v in b]))
-    assert solve_square(rows, b) == tuple(_frac(x[i, 0]) for i in range(n))
 
 
 @given(st.integers(0, 6).flatmap(
@@ -469,8 +464,9 @@ def test_normal_forms_multiply_and_invert_like_isometries(name, data):
 
 def _isometry_word_ball(identity, generators, radius):
     """(closed generators, ball): the generators closed under inverses and
-    a breadth-first word ball by plain Isometry composition, as `word_ball`
-    ran before groups carried a normal-form twin."""
+    a breadth-first word ball by plain composition over the whole ball, as
+    `word_ball` ran before groups carried a normal-form twin and before the
+    search held three spheres."""
     gens = []
     for g in generators:
         for h in (g, g.inverse()):
@@ -509,6 +505,36 @@ def test_word_balls_in_normal_form_match_isometry_word_balls(name):
     x = Point(tuple(Fraction(k + 1, 7) for k in range(deck.dimension)))
     scale, disp = deck.word_displacements(x)
     assert all(Fraction(disp(w), scale) == w.isometry().displacement_sq(x) for w in words)
+    # Milnor's word counts and pointwise failures, in ball order
+    milnor = milnor_check(deck, x, list(range(1, radius + 1)))
+    h_sq = max(g.displacement_sq(x) for g in gens)
+    assert [row.word_count for row in milnor.rows] == _cumulative(plain, radius)[1:]
+    assert list(milnor.pointwise_failures) == [
+        (d, str(g.to_obj())) for g, d in plain.items() if g.displacement_sq(x) > h_sq * d * d]
+
+
+QUARTER_TURN = Isometry(((0, -1), (1, 0)), (0, 0))
+
+
+@pytest.mark.parametrize("group,radius", [
+    (groups.heisenberg_group(), 6),
+    # a finite group: its spheres run out after the half turn
+    (groups.GeneratedGroup.closure(Isometry.identity(2), [QUARTER_TURN]), 5),
+], ids=["heisenberg", "quarter-turn"])
+def test_word_search_matches_a_plain_composition_search(group, radius):
+    gens, plain = _isometry_word_ball(group.identity, group.generators, radius)
+    assert list(group.generators) == gens
+    assert list(groups.word_ball(group, radius).items()) == list(plain.items())
+    assert groups.word_ball_counts(group, radius) == _cumulative(plain, radius)
+    assert [groups.word_length(group, g) for g in plain] == list(plain.values())
+
+
+def test_word_search_of_a_finite_group_stops_when_its_spheres_run_out():
+    group = groups.GeneratedGroup.closure(Isometry.identity(2), [QUARTER_TURN])
+    assert groups.word_ball_counts(group, 5) == [1, 3, 4, 4, 4, 4]
+    reflection = Isometry(((1, 0), (0, -1)), (0, 0))
+    with pytest.raises(NotFoundWithinCap, match="not in the generated group"):
+        groups.word_length(group, reflection)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

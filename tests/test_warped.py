@@ -22,7 +22,6 @@ from orbitlab.warped import (
     ratio_halving,
     verify_dual,
     warp,
-    warp_derivative,
     word_count,
 )
 
@@ -46,20 +45,6 @@ def test_warp_is_even_and_monotone_outward():
     vals = [warp(x) for x in xs]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-15
-
-
-def test_warp_derivative_matches_finite_differences():
-    eps = 1e-7
-    for r in (0.3, 1.2, 1.8, 2.5, -1.5, -3.0):
-        fd = (warp(r + eps) - warp(r - eps)) / (2 * eps)
-        assert warp_derivative(r) == pytest.approx(fd, abs=1e-5)
-
-
-def test_warp_derivative_continuous_at_joins():
-    assert warp_derivative(1.0) == 0.0
-    assert warp_derivative(1.0 + 1e-9) == pytest.approx(0.0, abs=1e-7)
-    assert warp_derivative(2.0) == pytest.approx(-0.25)
-    assert warp_derivative(2.0 - 1e-9) == pytest.approx(-0.25, abs=1e-7)
 
 
 def test_metric_factor_vectorized_and_square():
