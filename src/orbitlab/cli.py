@@ -74,9 +74,16 @@ def _number_list(text: str, parse: Callable[[str], Any]) -> List:
     return vals
 
 
+def _finite(text: str) -> float:
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return val
+
+
 _frac_list = functools.partial(_number_list, parse=_frac)
 _int_list = functools.partial(_number_list, parse=int)
-_float_list = functools.partial(_number_list, parse=float)
+_float_list = functools.partial(_number_list, parse=_finite)
 
 
 def _increasing(radii: Sequence) -> List:
@@ -432,10 +439,11 @@ def _cmd_rank(args) -> CommandResult:
 
 
 def _cmd_injection_check(args) -> CommandResult:
+    cap = groups.enumeration_cap() if args.cap is None else args.cap
     if args.kind == "hurewicz":
         images = groups.hurewicz_images(args.group)
         group = groups.builtin_generated_group(args.group)
-        rep = algebra.hurewicz_ball_injection(group, images, args.radius, cap=args.cap or 10_000_000)
+        rep = algebra.hurewicz_ball_injection(group, images, args.radius, cap=cap)
         ok = rep.injective and rep.bound_holds
         payload = {
             "command": "injection-check",
@@ -452,7 +460,7 @@ def _cmd_injection_check(args) -> CommandResult:
     if args.group != "heisenberg":
         raise ValueError(f"the polycyclic check is bundled for heisenberg only, not {args.group!r}")
     rep = algebra.polycyclic_injection(
-        HEISENBERG_IDENTITY, HEISENBERG_SERIES, args.box, cap=args.cap or 10_000_000
+        HEISENBERG_IDENTITY, HEISENBERG_SERIES, args.box, cap=cap
     )
     payload = {
         "command": "injection-check",

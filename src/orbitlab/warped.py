@@ -21,13 +21,29 @@ Each certified value costs one flood per grid spacing. The grid graph
 is built directly in CSR form, one stored entry per edge. The metric is
 even in r, so a grid symmetric about r = 0 with its source on r = 0
 (every deck-distance and ball grid) is flooded on its r >= 0 rows only
-and mirrored, bit-identical to the full solve. Deck-distance windows are
-sized from the climb-and-wrap path bound above. A path from r = 0 back
-to r = 0 turns before half its length, so only the rows up to about
-half the window (plus 2) are flooded; once every target lies below the
-window's half-width less one row, no path through the unflooded rows
-can be shorter, and the cut flood equals the full one bit for bit. The
-first flood passes that check; a doubling loop stays as a guard.
+and mirrored, bit-identical to the full solve.
+
+Every flood stops at the distance its answer needs, and every value it
+returns is bit-identical to a flood of the whole window. The bound is
+U, the length of one explicit grid path: climb straight to some row R,
+run along row R, come straight back down, minimised over R and scaled
+by 1 + 1e-9 (``_path_bound``). Floats round monotonically, so
+Dijkstra's float distance to a node is at most the float sum along any
+path to it; so U bounds the answer, and the distance Dijkstra returns
+is the least float sum over all paths. Every row crossing costs at
+least dr, so a path that strays more than U / dr rows from its source
+is longer than U and cannot be the least:
+- deck distances flood only the rows within ceil(U / (2 dr)) + 2 of
+  r = 0, U taken to the k_max-th translate, since a path from r = 0
+  back to r = 0 crosses every row twice;
+- ball volumes pass the radius, and point distances U, as scipy's
+  inclusive ``limit``: nodes within it keep their distance, the rest
+  read inf, and only the rows within ceil(limit / dr) + 1 of the
+  source are built and flooded.
+Deck-distance windows are still sized from the climb-and-wrap bound
+above and accepted once every target is below the window's half-width
+less one row; the first flood passes that check, and a doubling loop
+stays as a guard.
 
 Every grid caps its radial window at 400 rows: the row step is
 max(base dr, 2 * half-width / 400), so a requested dr is a floor, and
@@ -127,6 +143,16 @@ def _grid_graph(
     return csr_matrix((data, indices, indptr), shape=(nrow * ncol, nrow * ncol))
 
 
+def _columns(nrow: int, ncol: int) -> np.ndarray:
+    """``np.arange(ncol)``, once an nrow x ncol grid is known to fit
+    under NODE_CAP, so an oversized grid is refused before any of it is
+    allocated."""
+    import numpy as np
+    if nrow * ncol > NODE_CAP:
+        raise CapExceeded(f"grid would hold {nrow * ncol} nodes", limit=NODE_CAP)
+    return np.arange(ncol)
+
+
 def _solve_grid(
     r_vals: np.ndarray,
     s_vals: np.ndarray,
@@ -135,6 +161,7 @@ def _solve_grid(
     square: bool,
     source: Tuple[int, int],
     reach: Optional[int] = None,
+    limit: float = math.inf,
 ) -> np.ndarray:
     """Distances from ``source`` on the 8-neighbor metric graph.
 
@@ -155,15 +182,24 @@ def _solve_grid(
 
     With ``reach`` only the rows within ``reach`` of the centre row are
     flooded and returned; the caller must know that no shortest path it
-    reads leaves them. The cap and the row step ``dr`` still come from
-    the full grid. The graph is built directly in CSR form
-    (``_grid_graph``).
+    reads leaves them (``_deck_distance_grid`` sets it from the path
+    bound U of ``_path_bound``). With a finite ``limit``, such as U, the
+    flood stops there. Dijkstra's float distance to a node is the least
+    float sum over the paths to it, and floats round monotonically, so
+    the partial sums along that least path never exceed it; scipy's
+    ``limit`` is inclusive, so every node within ``limit`` keeps the
+    distance of the unlimited flood bit for bit, and every other node
+    reads inf. Every row crossing costs at least dr (up to rounding,
+    which the spare row absorbs), so only the rows within
+    ceil(limit / dr) + 1 of the source row can hold such a node: only
+    those are built and flooded, and the result is padded back to the
+    full shape with inf, so callers' sums add up in the same order. The
+    node cap (``_columns``) and the row step ``dr`` come from the full
+    grid. The graph is built directly in CSR form (``_grid_graph``).
     """
     import numpy as np
     nrow = len(r_vals)
     ncol = len(s_vals)
-    if nrow * ncol > NODE_CAP:
-        raise CapExceeded(f"grid would hold {nrow * ncol} nodes", limit=NODE_CAP)
     # taken from the full array: for steps that are not a power of two
     # the first difference of a slice need not equal r_vals[1] - r_vals[0]
     dr = float(r_vals[1] - r_vals[0])
@@ -173,7 +209,13 @@ def _solve_grid(
         r_vals = r_vals[lo : nrow - lo]
         source = (source[0] - lo, source[1])
         nrow = len(r_vals)
-        centre = reach
+    full = nrow
+    band = int(math.ceil(limit / dr)) + 1 if limit < math.inf else nrow
+    lo, hi = max(0, source[0] - band), min(nrow, source[0] + band + 1)
+    r_vals = r_vals[lo:hi]
+    source = (source[0] - lo, source[1])
+    nrow = len(r_vals)
+    centre = nrow // 2
     mirror = nrow % 2 == 1 and source[0] == centre and np.array_equal(r_vals[::-1], -r_vals)
     if mirror:
         r_vals = r_vals[centre:]
@@ -184,8 +226,33 @@ def _solve_grid(
     horiz_w = np.sqrt(row_factor) * ds
     diag_w = np.sqrt(dr * dr + mid_factor * ds * ds)
     graph = _grid_graph(nrow, ncol, dr, horiz_w, diag_w, periodic)
-    dist = dijkstra(graph, directed=False, indices=source[0] * ncol + source[1]).reshape(nrow, ncol)
-    return np.concatenate([dist[:0:-1], dist]) if mirror else dist
+    dist = dijkstra(graph, directed=False, indices=source[0] * ncol + source[1], limit=limit)
+    dist = dist.reshape(nrow, ncol)
+    if mirror:
+        dist = np.concatenate([dist[:0:-1], dist])
+    if hi - lo < full:
+        dist = np.concatenate([np.full((lo, ncol), np.inf), dist, np.full((full - hi, ncol), np.inf)])
+    return dist
+
+
+def _path_bound(
+    r_vals: np.ndarray, ds: float, square: bool, start_row: int, end_row: int, run: int
+) -> float:
+    """An upper bound U on the flood's distance between two nodes ``run``
+    columns apart: the shortest of the grid paths that climb straight
+    from ``start_row`` to some row R of ``r_vals``, run along row R and
+    come straight down to ``end_row``, scaled by 1 + 1e-9.
+
+    Floats round monotonically, so Dijkstra's float distance to a node
+    is at most the float sum along any path to it; the factor covers the
+    different order in which U itself is summed.
+    """
+    import numpy as np
+    dr = float(r_vals[1] - r_vals[0])
+    rows = np.arange(len(r_vals))
+    climb = (np.abs(rows - start_row) + np.abs(rows - end_row)) * dr
+    horiz_w = np.sqrt(metric_factor(r_vals, square)) * ds
+    return float((climb + run * horiz_w).min()) * (1.0 + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -245,16 +312,18 @@ def _deck_distance_grid(k_max: int, scale: float, square: bool, base: Tuple[floa
     squared warp). It fixes the row step dr (through the 400-row cap)
     and the window's half row count, half.
 
-    Only the rows |i| <= reach = min(half, ceil(r_win / (2 dr)) + 2) are
-    flooded. When reach < half, a path from r = 0 out of those rows and
-    back crosses at least 2 (reach + 1) rows, each for at least dr, so it
-    is at least r_win + 6 dr long. So once every target is below
-    (half - 1) dr < r_win, no path that leaves the flooded rows can be
-    shorter, and since Dijkstra's float distances are minima over paths
-    of their float sums, the targets equal a flood of the whole window
-    bit for bit. The check also implies the window boundary (at least
-    half * dr away) lies beyond every target. It passes on the first
-    flood; a flood that fails it is redone on a window twice as wide.
+    Only the rows |i| <= reach = min(half, ceil(U / (2 dr)) + 2) are
+    flooded, U (``_path_bound``) the length of the grid path that climbs
+    to the best row, runs k_max loops along it and comes back: Dijkstra's
+    float distance to a node is the least float sum over the paths to
+    it, and floats round monotonically, so U bounds every target. When
+    reach < half, a path from r = 0 out of those rows and back crosses at
+    least 2 (reach + 1) rows, each for at least dr, so it is at least
+    U + 6 dr long and cannot be the least; the targets equal a flood of
+    the whole window bit for bit. Once every target is below
+    (half - 1) dr, the window boundary (at least half * dr away) lies
+    beyond every target too. That check passes on the first flood; a
+    flood that fails it is redone on a window twice as wide.
     """
     import numpy as np
     base_dr, base_ds = base
@@ -263,14 +332,15 @@ def _deck_distance_grid(k_max: int, scale: float, square: bool, base: Tuple[floa
     for attempt in range(4):
         dr = max(base_dr, 2.0 * r_win / 400.0) * scale
         half = int(math.ceil(r_win / dr))
-        reach = min(half, int(math.ceil(r_win / (2.0 * dr))) + 2)
         r_vals = np.arange(-half, half + 1) * dr
         ds_target = base_ds * max(1.0, k_max / 10.0) * scale
         m = max(3, int(round(CIRCUMFERENCE / ds_target)))
         ds = CIRCUMFERENCE / m
         pad = int(math.ceil(5.0 / ds))
         ncol = k_max * m + 2 * pad + 1
-        s_vals = (np.arange(ncol) - pad) * ds
+        s_vals = (_columns(2 * half + 1, ncol) - pad) * ds
+        bound = _path_bound(r_vals, ds, square, half, half, k_max * m)
+        reach = min(half, int(math.ceil(bound / (2.0 * dr))) + 2)
         dist = _solve_grid(
             r_vals, s_vals, ds, periodic=False, square=square, source=(half, pad), reach=reach
         )
@@ -322,8 +392,8 @@ def _ball_volume_grid(radius: float, scale: float, square: bool, base: Tuple[flo
     r_vals = np.arange(-half, half + 1) * dr
     n_s = max(16, int(round(CIRCUMFERENCE / (base_ds * refine * scale))))
     ds = CIRCUMFERENCE / n_s
-    s_vals = np.arange(n_s) * ds
-    dist = _solve_grid(r_vals, s_vals, ds, periodic=True, square=square, source=(half, 0))
+    s_vals = _columns(2 * half + 1, n_s) * ds
+    dist = _solve_grid(r_vals, s_vals, ds, periodic=True, square=square, source=(half, 0), limit=radius)
     if min(dist[0, :].min(), dist[-1, :].min()) <= radius:
         raise TruncationError("ball reached the radial window boundary")
     areas = np.sqrt(metric_factor(r_vals, square)) * dr * ds
@@ -343,6 +413,12 @@ def ball_volume(
     refined by radius / 4, and the radial window (radius + 2 each side)
     holds at most 400 rows, so past radius 48 at the default dr of 0.25
     the rows are coarsened to (radius + 2) / 200.
+
+    Each flood stops at the radius (scipy's ``limit`` is inclusive, so
+    every node within it keeps its exact float distance), and only the
+    rows within ceil(radius / dr) + 1 of r = 0, the ones a path of that
+    length can reach at dr or more per row, are built; the rest read
+    inf, which counts as outside the ball just as their distance did.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -525,6 +601,14 @@ def point_distance(
     ``spacing`` is a floor on the base (dr, ds): the radial window holds
     at most 400 rows, and on the cover at most 1,600 columns, so a wide
     window is solved on coarser steps than requested.
+
+    Each flood stops at U (``_path_bound``): the grid path that climbs
+    from the start's row to the best row, runs along it to the end's
+    column (on the compact surface the shorter way round) and comes down
+    to the end's row. Dijkstra's float distance is at most the float sum
+    along that path, so the end node keeps its exact distance under
+    scipy's inclusive ``limit``, and only the rows within ceil(U / dr) + 1
+    of the start, at dr or more per row crossed, are built and flooded.
     """
     import numpy as np
     base_dr, base_ds = _base_spacing(spacing)
@@ -539,7 +623,7 @@ def point_distance(
         if periodic:
             n_s = max(16, int(round(CIRCUMFERENCE / (base_ds * scale))))
             ds = CIRCUMFERENCE / n_s
-            s_vals = np.arange(n_s) * ds
+            s_vals = _columns(2 * half + 1, n_s) * ds
             sj = int(round((start[1] % CIRCUMFERENCE) / ds)) % n_s
             ej = int(round((end[1] % CIRCUMFERENCE) / ds)) % n_s
         else:
@@ -547,12 +631,18 @@ def point_distance(
             s_hi = max(start[1], end[1]) + 5.0
             ds = max(base_ds, (s_hi - s_lo) / 1600.0) * scale
             ncol = int(math.ceil((s_hi - s_lo) / ds)) + 1
-            s_vals = s_lo + np.arange(ncol) * ds
+            s_vals = s_lo + _columns(2 * half + 1, ncol) * ds
             sj = int(np.argmin(np.abs(s_vals - start[1])))
             ej = int(np.argmin(np.abs(s_vals - end[1])))
         si = int(np.argmin(np.abs(r_vals - start[0])))
         ei = int(np.argmin(np.abs(r_vals - end[0])))
-        dist = _solve_grid(r_vals, s_vals, ds, periodic=periodic, square=square, source=(si, sj))
+        run = abs(ej - sj)
+        if periodic:
+            run = min(run, len(s_vals) - run)
+        bound = _path_bound(r_vals, ds, square, si, ei, run)
+        dist = _solve_grid(
+            r_vals, s_vals, ds, periodic=periodic, square=square, source=(si, sj), limit=bound
+        )
         return float(dist[ei, ej])
 
     fine, coarse, rel = _certified(solve, "point distance", tol)

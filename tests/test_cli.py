@@ -340,6 +340,10 @@ def test_classify_noncommuting_fails_with_error_payload(capsys):
         # Hurewicz images are bundled for heisenberg and lattice decks only
         ("injection-check", "--kind", "hurewicz", "--group", "moebius2"),
         ("soul-dim", "--space", "no-such-space"),
+        # warped inputs are finite numbers
+        ("verify-dual", "--space", "warped", "--radii", "8,inf"),
+        ("warped-distance", "--from", "0,0", "--to", "nan,0"),
+        ("warped-ratio", "--c", "nan", "--radii", "4"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -397,6 +401,14 @@ def test_huge_lattice_scan_exits_3_at_once(capsys):
     assert code == 3
     assert json.loads(out)["error"] == "CapExceeded"
     assert "exceeds the cap 10000000" in err
+
+
+def test_an_oversized_warped_grid_exits_3_before_it_is_allocated(capsys):
+    # 2 * 10^9 columns per loop: refused by the node cap, not by numpy
+    code, out, err = run(capsys, "warped-distance", "--k", "2", "--grid", "1e-9,1e-9")
+    assert code == 3
+    assert json.loads(out)["error"] == "CapExceeded"
+    assert "Traceback" not in err
 
 
 def test_unreachable_tolerance_exits_3(capsys):
@@ -540,19 +552,68 @@ def word_command_argv(draw):
     return argv
 
 
-@given(word_command_argv())
-@settings(max_examples=60, deadline=None)
-def test_word_commands_exit_on_a_documented_code(argv):
+def _main_quietly(argv):
+    """``cli.main``'s exit code and stderr, with stdout swallowed."""
     out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as e:  # argparse refusing the argv
             code = e.code
+    return code, err.getvalue()
+
+
+@given(word_command_argv())
+@settings(max_examples=60, deadline=None)
+def test_word_commands_exit_on_a_documented_code(argv):
+    start = time.perf_counter()
+    code, err = _main_quietly(argv)
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     assert time.perf_counter() - start < 0.5
+
+
+# ---------------------------------------------------------------------------
+# exit codes of the warped commands on generated argv
+
+# sizes stay small (radii and k at most 16, base grids no finer than the
+# default), so every example solves in milliseconds
+WARPED_NUMBERS = st.one_of(st.integers(-2, 16).map(str),
+                           st.sampled_from(["0", "-0", "0.5", "1.5", "inf", "nan", "x", ""]))
+WARPED_LISTS = st.one_of(
+    st.sets(st.integers(1, 16), min_size=1, max_size=3).map(lambda rs: ",".join(map(str, sorted(rs)))),
+    st.lists(WARPED_NUMBERS, min_size=1, max_size=3).map(",".join))
+WARPED_POINTS = st.one_of(
+    st.tuples(st.integers(-16, 16), st.integers(0, 32)).map(lambda p: f"{p[0] / 4},{p[1] / 4}"),
+    st.sampled_from(["1", "a,b", "1,2,3", "inf,0", ""]))
+WARPED_GRIDS = st.sampled_from(["0.25,0.25", "0.5,0.5", "0.3,0.2", "0,1", "-0.25,0.25", "0.25",
+                                "0.25,0.25,0.25", "a,b", "inf,1", "nan,0.25", ""])
+
+
+@st.composite
+def warped_command_argv(draw):
+    command = draw(st.sampled_from(["warped-distance", "warped-ratio", "verify-dual"]))
+    if command == "verify-dual":
+        argv = [command, "--space", "warped", "--radii", draw(WARPED_LISTS)]
+    elif command == "warped-ratio":
+        argv = [command, "--c", draw(WARPED_LISTS), "--radii", draw(WARPED_LISTS)]
+    elif draw(st.booleans()):
+        argv = [command, "--k", draw(WARPED_LISTS)]
+    else:
+        argv = [command, "--from", draw(WARPED_POINTS), "--to", draw(WARPED_POINTS)]
+    if command == "warped-distance" and draw(st.booleans()):
+        argv += ["--space", draw(st.sampled_from(["N", "cover"]))]
+    if draw(st.booleans()):
+        argv += ["--grid", draw(WARPED_GRIDS)]
+    return argv + (["--square-warp"] if draw(st.booleans()) else [])
+
+
+@given(warped_command_argv())
+@settings(max_examples=100, deadline=None)
+def test_warped_commands_exit_on_a_documented_code(argv):
+    code, err = _main_quietly(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +626,21 @@ def test_env_cap_reaches_word_ball(capsys, monkeypatch):
     assert code == 3
     assert json.loads(out)["error"] == "CapExceeded"
     assert groups.enumeration_cap() == 10
+
+
+def test_injection_check_cap_zero_refuses_the_ball(capsys):
+    # as word-ball: --cap 0 is a cap of zero elements, not the default
+    code, out, _ = run(capsys, "injection-check", "--kind", "hurewicz", "--group", "z2",
+                       "--radius", "2", "--cap", "0")
+    assert code == 3
+    assert json.loads(out)["error"] == "CapExceeded"
+
+
+def test_env_cap_reaches_injection_check(capsys, monkeypatch):
+    monkeypatch.setenv("ORBITLAB_CAP", "5")
+    code, out, _ = run(capsys, "injection-check", "--kind", "hurewicz", "--group", "z2", "--radius", "3")
+    assert code == 3
+    assert json.loads(out)["error"] == "CapExceeded"
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import math
+import random
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -263,7 +265,16 @@ def test_certified_values_match_the_recorded_ones(case):
 
 
 # --------------------------------------------------------------------------
-# one flood per certified value, over half the rows
+# one flood per certified value, cut at the distance its answer needs
+
+
+class Grid(NamedTuple):
+    r_vals: np.ndarray
+    s_vals: np.ndarray
+    ds: float
+    source: tuple
+    reach: object
+    limit: float
 
 
 def _record_solves(monkeypatch):
@@ -281,16 +292,26 @@ def _record_solves(monkeypatch):
 
 
 def _record_grids(monkeypatch):
-    """Log (nrow, ncol, reach) of every grid handed to ``_solve_grid``."""
+    """Log every grid handed to ``_solve_grid``, with its source and cuts."""
     grids = []
     real = warped._solve_grid
 
-    def spy(r_vals, s_vals, *args, **kwargs):
-        grids.append((len(r_vals), len(s_vals), kwargs.get("reach")))
-        return real(r_vals, s_vals, *args, **kwargs)
+    def spy(r_vals, s_vals, ds, **kwargs):
+        grids.append(Grid(r_vals, s_vals, ds, kwargs["source"], kwargs.get("reach"),
+                          kwargs.get("limit", math.inf)))
+        return real(r_vals, s_vals, ds, **kwargs)
 
     monkeypatch.setattr(warped, "_solve_grid", spy)
     return grids
+
+
+def _path_bound(r_vals, ds, square, start_row, end_row, run):
+    """U: the shortest climb from ``start_row`` to some row, run of ``run``
+    columns along it and descent to ``end_row``, times 1 + 1e-9."""
+    dr = float(r_vals[1] - r_vals[0])
+    rows = np.arange(len(r_vals))
+    climb = (np.abs(rows - start_row) + np.abs(rows - end_row)) * dr
+    return float((climb + run * (np.sqrt(metric_factor(r_vals, square)) * ds)).min()) * (1.0 + 1e-9)
 
 
 def _first_window(k_max, square):
@@ -299,11 +320,16 @@ def _first_window(k_max, square):
     return min(CIRCUMFERENCE * k_max, climb) + 8.0
 
 
-def _deck_rows(r_win, base_dr, scale):
-    """(dr, half, reach) of a deck-distance flood over the half-width r_win."""
-    dr = max(base_dr, 2.0 * r_win / 400.0) * scale
+def _deck_rows(r_win, k_max, square, base, scale):
+    """(dr, half, ncol, reach) of a deck-distance flood over the half-width
+    r_win: reach = ceil(U / (2 dr)) + 2, U the path to the k_max-th translate."""
+    dr = max(base[0], 2.0 * r_win / 400.0) * scale
     half = math.ceil(r_win / dr)
-    return dr, half, min(half, math.ceil(r_win / (2.0 * dr)) + 2)
+    m = max(3, round(CIRCUMFERENCE / (base[1] * max(1.0, k_max / 10) * scale)))
+    ds = CIRCUMFERENCE / m
+    ncol = k_max * m + 2 * math.ceil(5.0 / ds) + 1
+    bound = _path_bound(np.arange(-half, half + 1) * dr, ds, square, half, half, k_max * m)
+    return dr, half, ncol, min(half, math.ceil(bound / (2.0 * dr)) + 2)
 
 
 @pytest.mark.parametrize("square", [False, True])
@@ -313,13 +339,24 @@ def test_deck_distances_floods_once_per_scale_over_half_the_rows(monkeypatch, k_
     sizes = _record_solves(monkeypatch)
     grids = _record_grids(monkeypatch)
     deck_distances(k_max, square=square, spacing=spacing)
-    base_dr = 0.25 if spacing is None else spacing[0]
-    reaches = [_deck_rows(_first_window(k_max, square), base_dr, scale)[2] for scale in (1.0, 0.5)]
-    # the flood stops at the rows a shortest path can reach, well inside
-    # the window's half
-    assert [reach for _, _, reach in grids] == reaches
-    assert all(reach < nrow // 2 for nrow, _, reach in grids)
-    assert sizes == [(reach + 1) * ncol for _, ncol, reach in grids]
+    base = (0.25, 0.25) if spacing is None else spacing
+    expected = [_deck_rows(_first_window(k_max, square), k_max, square, base, scale) for scale in (1.0, 0.5)]
+    # the flood stops at the rows a path no longer than U can reach, well
+    # inside the window's half
+    assert [(len(g.r_vals) // 2, len(g.s_vals), g.reach) for g in grids] == [
+        (half, ncol, reach) for _, half, ncol, reach in expected
+    ]
+    assert all(g.reach < len(g.r_vals) // 4 for g in grids)
+    assert [g.limit for g in grids] == [math.inf, math.inf]
+    assert sizes == [(g.reach + 1) * len(g.s_vals) for g in grids]
+
+
+@pytest.mark.parametrize("k_max, reach", [(32, 163), (64, 178), (109, 183)])
+def test_fine_deck_floods_stop_at_the_path_bound(monkeypatch, k_max, reach):
+    # the climb-and-wrap window alone would flood 195, 202 and 202 rows
+    grids = _record_grids(monkeypatch)
+    deck_distances(k_max)
+    assert grids[1].reach == reach
 
 
 def test_a_failed_reach_check_redoes_the_flood_on_a_doubled_window(monkeypatch):
@@ -334,14 +371,15 @@ def test_a_failed_reach_check_redoes_the_flood_on_a_doubled_window(monkeypatch):
         return dist + r_vals[-1] if len(floods) == 1 else dist
 
     monkeypatch.setattr(warped, "_solve_grid", spy)
-    k_max, scale, base_dr = 16, 1.0, 0.25
-    got = warped._deck_distance_grid(k_max, scale, False, (base_dr, 0.25))
+    k_max, scale, base = 16, 1.0, (0.25, 0.25)
+    got = warped._deck_distance_grid(k_max, scale, False, base)
     assert len(floods) == 2
     r_win = _first_window(k_max, False)
-    dr, half, _ = _deck_rows(r_win, base_dr, scale)
+    dr, half, _, reach = _deck_rows(r_win, k_max, False, base, scale)
     assert floods[0][0][-1] == half * dr
+    assert floods[0][1] == reach
     r_vals, reach, dist = floods[1]
-    dr, half, wide_reach = _deck_rows(2.0 * r_win, base_dr, scale)
+    dr, half, _, wide_reach = _deck_rows(2.0 * r_win, k_max, False, base, scale)
     assert len(r_vals) == 2 * half + 1
     assert r_vals[-1] == half * dr
     assert reach == wide_reach
@@ -362,16 +400,92 @@ def test_narrow_cylinders_keep_their_edges():
 
 @pytest.mark.parametrize("square", [False, True])
 @pytest.mark.parametrize("radius", [1.0, 16.0])
-def test_ball_volume_floods_half_the_rows(monkeypatch, radius, square):
+def test_ball_volume_floods_the_rows_within_its_radius(monkeypatch, radius, square):
     sizes = _record_solves(monkeypatch)
     grids = _record_grids(monkeypatch)
     ball_volume(radius, square=square)
-    assert len(sizes) == 2
-    assert sizes == [(nrow // 2 + 1) * ncol for nrow, ncol, _ in grids]
+    assert [g.limit for g in grids] == [radius, radius]
+    # the limit band around the centre row, mirrored
+    bands = [math.ceil(radius / float(g.r_vals[1] - g.r_vals[0])) + 1 for g in grids]
+    assert all(band < len(g.r_vals) // 2 for band, g in zip(bands, grids))
+    assert sizes == [(band + 1) * len(g.s_vals) for band, g in zip(bands, grids)]
 
 
-def test_off_centre_point_distance_floods_the_whole_grid(monkeypatch):
+@pytest.mark.parametrize("periodic", [False, True])
+def test_off_centre_point_distance_floods_the_rows_within_its_path_bound(monkeypatch, periodic):
     sizes = _record_solves(monkeypatch)
     grids = _record_grids(monkeypatch)
-    point_distance((3.0, 0.0), (-1.0, 1.5))
-    assert sizes == [nrow * ncol for nrow, ncol, _ in grids]
+    start, end = (3.0, 0.0), (-1.0, 5.5 if periodic else 1.5)
+    point_distance(start, end, periodic=periodic)
+    for g, size in zip(grids, sizes):
+        r, s = g.r_vals, g.s_vals
+        si, sj = g.source
+        assert si == np.argmin(np.abs(r - start[0]))
+        ei, ej = np.argmin(np.abs(r - end[0])), np.argmin(np.abs(s - end[1] % CIRCUMFERENCE))
+        # on the compact surface the run goes the shorter way round
+        run = min(abs(ej - sj), len(s) - abs(ej - sj)) if periodic else abs(ej - sj)
+        assert g.limit == _path_bound(r, g.ds, False, si, ei, run)
+        band = math.ceil(g.limit / float(r[1] - r[0])) + 1
+        rows = min(si + band, len(r) - 1) - max(si - band, 0) + 1
+        assert rows < len(r)
+        assert size == rows * len(s)
+
+
+def _whole_floods(monkeypatch):
+    """Patch ``_solve_grid`` to flood every grid whole, with no row cut and
+    no limit. A reach cut is sliced back out of the whole flood, so its
+    caller indexes it as before. Each limited flood is also solved and
+    checked on the spot: a node within the limit keeps the whole flood's
+    bits, and every other node reads inf."""
+    real = warped._solve_grid
+
+    def whole(r_vals, s_vals, ds, periodic, square, source, reach=None, limit=math.inf):
+        dist = real(r_vals, s_vals, ds, periodic, square, source)
+        if limit < math.inf:
+            cut = real(r_vals, s_vals, ds, periodic, square, source, limit=limit)
+            assert cut.tobytes() == np.where(dist <= limit, dist, np.inf).tobytes()
+        lo = len(r_vals) // 2 - reach if reach is not None else 0
+        return dist[lo : len(r_vals) - lo] if lo > 0 else dist
+
+    monkeypatch.setattr(warped, "_solve_grid", whole)
+
+
+def _point_pairs():
+    """44 seeded point pairs, a quarter of them starting on the centre row."""
+    rng = random.Random(23)
+    pairs = []
+    for i in range(44):
+        start = (0.0 if i % 4 == 0 else rng.randint(-16, 16) / 4, rng.randint(0, 25) / 4)
+        end = (rng.randint(-16, 16) / 4, rng.randint(0, 50) / 4)
+        pairs.append((start, end, i % 2 == 1, rng.random() < 0.3))
+    return pairs
+
+
+def _cut_outcomes():
+    """Every value a cut flood feeds, each as its bytes. Deck tables are
+    solved on each spacing's base grid and on the default's halving; the
+    golden values above pin the halvings of the finer spacing, whose
+    whole floods would take most of this test's time."""
+    out = {}
+    for spacing in (None, (0.125, 0.125), (0.3, 0.2)):
+        base = warped._base_spacing(spacing)
+        for square in (False, True):
+            for scale in (1.0, 0.5):
+                if scale == 1.0 or spacing is None:
+                    for k in (1, 2, 3, 4, 5, 6, 7, 8, 13, 32, 64, 109):
+                        dist = warped._deck_distance_grid(k, scale, square, base)
+                        out["deck", k, square, base, scale] = dist.tobytes()
+                for r in (0.5, 1.0, 2.5, 4.0, 8.0, 16.0, 32.0, 64.0):
+                    out["ball", r, square, base, scale] = warped._ball_volume_grid(r, scale, square, base).hex()
+    for start, end, periodic, square in _point_pairs():
+        cert = point_distance(start, end, tol=math.inf, square=square, periodic=periodic)
+        out["point", start, end, periodic, square] = (cert.value.hex(), cert.coarse.hex())
+    return out
+
+
+def test_cut_floods_equal_full_floods(monkeypatch):
+    cut = _cut_outcomes()
+    _whole_floods(monkeypatch)
+    whole = _cut_outcomes()
+    assert list(cut) == list(whole)
+    assert [key for key in cut if cut[key] != whole[key]] == []
