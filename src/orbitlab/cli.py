@@ -102,17 +102,21 @@ def _point_json(p: Point) -> List[str]:
 
 
 def _load_json_arg(text: str):
-    """JSON from an inline literal, an @-prefixed path, or a bare file name."""
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
+    """JSON from an inline literal, an @-prefixed path, or a bare file name.
+    JSON nested deeper than the decoder's recursion limit is a ValueError."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        if os.path.exists(text):
-            with open(text, "r", encoding="utf-8") as fh:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
                 return json.load(fh)
-        raise
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            if os.path.exists(text):
+                with open(text, "r", encoding="utf-8") as fh:
+                    return json.load(fh)
+            raise
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply") from None
 
 
 def _selector(name: str) -> str:

@@ -287,8 +287,11 @@ class Isometry:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Isometry":
-        return cls([[Fraction(x) for x in row] for row in obj["A"]],
-                   [Fraction(x) for x in obj["v"]])
+        try:
+            return cls([[Fraction(x) for x in row] for row in obj["A"]],
+                       [Fraction(x) for x in obj["v"]])
+        except OverflowError:  # Fraction of an infinite float; NaN raises ValueError
+            raise ValueError("isometry entries must be finite numbers") from None
 
     def sort_key(self) -> tuple:
         flat = tuple(x for row in self.orthogonal for x in row) + self.translation

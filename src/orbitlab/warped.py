@@ -25,21 +25,24 @@ and mirrored, bit-identical to the full solve.
 
 Every flood stops at the distance its answer needs, and every value it
 returns is bit-identical to a flood of the whole window. The bound is
-U, the length of one explicit grid path: climb straight to some row R,
-run along row R, come straight back down, minimised over R and scaled
-by 1 + 1e-9 (``_path_bound``). Floats round monotonically, so
+U, the length of one explicit grid path, minimised over the row R it
+tops out at and scaled by 1 + 1e-9. Floats round monotonically, so
 Dijkstra's float distance to a node is at most the float sum along any
 path to it; so U bounds the answer, and the distance Dijkstra returns
-is the least float sum over all paths. Every row crossing costs at
-least dr, so a path that strays more than U / dr rows from its source
-is longer than U and cannot be the least:
-- deck distances flood only the rows within ceil(U / (2 dr)) + 2 of
-  r = 0, U taken to the k_max-th translate, since a path from r = 0
-  back to r = 0 crosses every row twice;
-- ball volumes pass the radius, and point distances U, as scipy's
-  inclusive ``limit``: nodes within it keep their distance, the rest
-  read inf, and only the rows within ceil(limit / dr) + 1 of the
-  source are built and flooded.
+is the least float sum over all paths:
+- deck distances take U_k to each k-th translate from a path that
+  climbs straight, then diagonally, runs along row R and comes down its
+  mirror (``_wrap_bounds``). A path from r = 0 back to r = 0 whose top
+  row is h makes at least 2h row changes and k m column changes on rows
+  <= h, so it is at least LB_k(h) long; only the rows up to the top h,
+  over every k <= k_max, with LB_k(h) (1 - 1e-9) <= U_k, plus 2 spare
+  rows, are flooded;
+- point distances take U from a path that climbs straight to R, runs
+  along it and comes straight down (``_path_bound``). Ball volumes pass
+  the radius, and point distances U, as scipy's inclusive ``limit``:
+  nodes within it keep their distance, the rest read inf, and, since
+  every row crossing costs at least dr, only the rows within
+  ceil(limit / dr) + 1 of the source are built and flooded.
 Deck-distance windows are still sized from the climb-and-wrap bound
 above and accepted once every target is below the window's half-width
 less one row; the first flood passes that check, and a doubling loop
@@ -182,8 +185,8 @@ def _solve_grid(
 
     With ``reach`` only the rows within ``reach`` of the centre row are
     flooded and returned; the caller must know that no shortest path it
-    reads leaves them (``_deck_distance_grid`` sets it from the path
-    bound U of ``_path_bound``). With a finite ``limit``, such as U, the
+    reads leaves them (``_deck_distance_grid`` sets it from the bounds
+    U_k and LB_k of ``_wrap_bounds``). With a finite ``limit``, such as U, the
     flood stops there. Dijkstra's float distance to a node is the least
     float sum over the paths to it, and floats round monotonically, so
     the partial sums along that least path never exceed it; scipy's
@@ -255,6 +258,46 @@ def _path_bound(
     return float((climb + run * horiz_w).min()) * (1.0 + 1e-9)
 
 
+def _wrap_bounds(
+    r_vals: np.ndarray, ds: float, square: bool, runs: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(U, LB) for paths from the centre row of a grid symmetric about
+    r = 0 back to it, ``runs[k]`` columns along; rows h count from r = 0.
+
+    U[k] is the length of one explicit grid path, times 1 + 1e-9: climb
+    straight over bands 0..a-1, diagonally over bands a..R-1, run
+    K - 2 (R - a) columns along row R and come down its mirror, K =
+    ``runs[k]``, minimised over R. a counts the bands whose diagonal
+    costs at least a vertical step plus a step along row R (a prefix, as
+    the warp shrinks outward), raised so that 2 (R - a) <= K.
+
+    LB[k, h] bounds every path whose top row is h. Folded onto r >= 0 it
+    makes at least 2h row changes and K column changes, on rows <= h
+    only: v vertical, w horizontal and d diagonal steps with v + d >= 2h
+    and w + d >= K cost at least 2h dr + K eta + min(2h, K) min(0, delta -
+    dr - eta), eta and delta the least horizontal and diagonal weights
+    there (a diagonal costs at least dr and, the warp shrinking outward,
+    at least eta, so more than min(2h, K) of them save nothing). Weights
+    are computed as ``_solve_grid`` computes them.
+    """
+    import numpy as np
+    r = r_vals[len(r_vals) // 2 :]
+    dr = float(r_vals[1] - r_vals[0])
+    eta = np.sqrt(metric_factor(r, square)) * ds
+    delta = np.sqrt(dr * dr + metric_factor(0.5 * (r[:-1] + r[1:]), square) * ds * ds)
+    rows = np.arange(len(r))
+    runs = np.asarray(runs)[:, None]
+    steep = np.minimum(np.searchsorted(-delta, -(dr + eta), side="right"), rows)
+    a = np.maximum(steep, rows - runs // 2)
+    climb = np.concatenate([[0.0], np.cumsum(delta)])
+    upper = 2 * a * dr + 2 * (climb[rows] - climb[a]) + (runs - 2 * (rows - a)) * eta
+    eta_min = np.minimum.accumulate(eta)
+    delta_min = np.minimum.accumulate(np.concatenate([[np.inf], delta]))
+    saving = np.minimum(0.0, delta_min - dr - eta_min)
+    lower = 2 * rows * dr + runs * eta_min + np.minimum(2 * rows, runs) * saving
+    return upper.min(axis=1) * (1.0 + 1e-9), lower
+
+
 @dataclass(frozen=True)
 class CertifiedValue:
     value: float
@@ -312,18 +355,21 @@ def _deck_distance_grid(k_max: int, scale: float, square: bool, base: Tuple[floa
     squared warp). It fixes the row step dr (through the 400-row cap)
     and the window's half row count, half.
 
-    Only the rows |i| <= reach = min(half, ceil(U / (2 dr)) + 2) are
-    flooded, U (``_path_bound``) the length of the grid path that climbs
-    to the best row, runs k_max loops along it and comes back: Dijkstra's
-    float distance to a node is the least float sum over the paths to
-    it, and floats round monotonically, so U bounds every target. When
-    reach < half, a path from r = 0 out of those rows and back crosses at
-    least 2 (reach + 1) rows, each for at least dr, so it is at least
-    U + 6 dr long and cannot be the least; the targets equal a flood of
-    the whole window bit for bit. Once every target is below
-    (half - 1) dr, the window boundary (at least half * dr away) lies
-    beyond every target too. That check passes on the first flood; a
-    flood that fails it is redone on a window twice as wide.
+    Only the rows |i| <= reach are flooded (``_wrap_bounds``). U_k is
+    the length of the grid path that climbs to the best row R (straight,
+    then diagonally where that is cheaper), runs along it to the k-th
+    translate and comes back down its mirror: Dijkstra's float distance
+    to a node is the least float sum over the paths to it, and floats
+    round monotonically, so U_k bounds target k. LB_k(h) bounds every
+    path to it whose top row is h, and reach = min(half, top + 2), top
+    the largest h, over every k <= k_max, with LB_k(h) (1 - 1e-9) <=
+    U_k. A path that leaves those rows tops out above top, so it is
+    longer than U_k, even in floats, and cannot be the least; the
+    targets equal a flood of the whole window bit for bit. Once every
+    target is below (half - 1) dr, the window boundary (at least half *
+    dr away) lies beyond every target too. That check passes on the
+    first flood; a flood that fails it is redone on a window twice as
+    wide.
     """
     import numpy as np
     base_dr, base_ds = base
@@ -339,8 +385,9 @@ def _deck_distance_grid(k_max: int, scale: float, square: bool, base: Tuple[floa
         pad = int(math.ceil(5.0 / ds))
         ncol = k_max * m + 2 * pad + 1
         s_vals = (_columns(2 * half + 1, ncol) - pad) * ds
-        bound = _path_bound(r_vals, ds, square, half, half, k_max * m)
-        reach = min(half, int(math.ceil(bound / (2.0 * dr))) + 2)
+        upper, lower = _wrap_bounds(r_vals, ds, square, m * np.arange(1, k_max + 1))
+        top = np.flatnonzero((lower * (1.0 - 1e-9) <= upper[:, None]).any(axis=0))[-1]
+        reach = min(half, int(top) + 2)
         dist = _solve_grid(
             r_vals, s_vals, ds, periodic=False, square=square, source=(half, pad), reach=reach
         )

@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -333,6 +334,11 @@ def test_classify_noncommuting_fails_with_error_payload(capsys):
         ("rank", "--num-generators", "1", "--elements", "[[0.5]]"),
         ("rank", "--presentation", '{"num_generators": 1.5}'),
         ("rank", "--num-generators", "-1"),
+        # non-finite isometry entries and JSON past the decoder's depth
+        ("classify", "--generators", '[{"A": [[1]], "v": [Infinity]}]'),
+        ("classify", "--generators", '[{"A": [[1e400]], "v": [0]}]'),
+        ("snf", "--matrix", "[" * 100_000),
+        ("rank", "--num-generators", "1", "--relations", "[" * 100_000 + "]" * 100_000),
         ("injection-check", "--box", "-1"),
         # the polycyclic check is bundled for heisenberg only
         ("injection-check", "--group", "torus2", "--box", "1"),
@@ -617,6 +623,70 @@ def test_warped_commands_exit_on_a_documented_code(argv):
 
 
 # ---------------------------------------------------------------------------
+# exit codes of the exact commands on generated argv
+
+FRACTIONS = st.one_of(st.integers(-4, 8).map(str),
+                      st.sampled_from(["1/2", "-3/4", "7/3", "0/1", "1/0", "0.25", "1e30", "1e400",
+                                       "nan", "inf", "x", ""]))
+POINTS = st.lists(FRACTIONS, max_size=4).map(",".join)
+# JSON values of every kind, mostly small; entries may be non-finite floats
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-9, 9), st.floats(), st.text(max_size=3),
+              st.sampled_from(["1/2", "0", "x"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.sampled_from(["A", "v", "num_generators", "relations", "x"]),
+                                            inner, max_size=3)),
+    max_leaves=6)
+MATRICES = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), min_size=1, max_size=4))
+ISOMETRIES = st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries({
+    "A": st.lists(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n), min_size=n, max_size=n),
+    "v": st.lists(st.sampled_from([0, 1, "1/2", "-1/3", 0.5]), min_size=n, max_size=n)}))
+JSON_TEXTS = st.one_of(
+    st.one_of(MATRICES, st.lists(ISOMETRIES, min_size=1, max_size=3), JSON_VALUES).map(json.dumps),
+    st.fixed_dictionaries({"num_generators": st.integers(-1, 4), "relations": MATRICES}).map(json.dumps),
+    st.integers(1, 100_000).map(lambda depth: "[" * depth + "]" * depth),
+    st.sampled_from(["[[1,2],[3", "[[Infinity]]", "[[NaN, 1]]", "@/no/such/file.json", "", "x"]))
+
+
+@st.composite
+def exact_command_argv(draw):
+    command = draw(st.sampled_from(["orbit-count", "index-check", "dirichlet", "classify", "soul-dim",
+                                    "snf", "rank"]))
+    space = ["--space", draw(SPACE_NAMES)]
+    base = ["--base", draw(POINTS)] if draw(st.booleans()) else []
+    if command in ("orbit-count", "index-check"):
+        argv = [command, *space, *base, "--radii", draw(RADII)]
+    elif command == "dirichlet":
+        argv = ["dirichlet", *space, *base, "--point", draw(POINTS)]
+        argv += ["--within", draw(FRACTIONS)] if draw(st.booleans()) else []
+    elif command == "classify":
+        argv = ["classify", *(space if draw(st.booleans()) else ["--generators", draw(JSON_TEXTS)])]
+        argv += ["--dim", draw(NUMBERS)] if draw(st.booleans()) else []
+    elif command == "soul-dim":
+        argv = ["soul-dim", *space]
+    elif command == "snf":
+        argv = ["snf", "--matrix", draw(JSON_TEXTS)]
+    elif draw(st.booleans()):
+        argv = ["rank", "--presentation", draw(JSON_TEXTS)]
+    else:
+        argv = ["rank", "--num-generators", draw(NUMBERS), "--relations", draw(JSON_TEXTS)]
+    if command == "rank" and draw(st.booleans()):
+        argv += ["--elements", draw(JSON_TEXTS)]
+    return argv + (["--format", "csv"] if draw(st.booleans()) else [])
+
+
+@given(exact_command_argv())
+@settings(max_examples=200, deadline=None)
+def test_exact_commands_exit_on_a_documented_code(argv):
+    start = time.perf_counter()
+    code, err = _main_quietly(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert time.perf_counter() - start < 0.5
+
+
+# ---------------------------------------------------------------------------
 # environment cap pass-through
 
 
@@ -690,6 +760,18 @@ REUSE_SEQUENCE = [
 ]
 
 
+# the one value that may differ between runs: --timings wall-clock seconds
+ELAPSED = re.compile(r'"elapsed_seconds": (.*)\n')
+
+
+def _timings_cut(outcomes):
+    """The (code, out, err) outcomes with each ``elapsed_seconds`` value,
+    checked to be a float >= 0, cut out; and how many were cut."""
+    values = [json.loads(v) for _, out, _ in outcomes for v in ELAPSED.findall(out)]
+    assert all(isinstance(v, float) and v >= 0 for v in values)
+    return [(code, ELAPSED.sub('"elapsed_seconds": -\n', out), err) for code, out, err in outcomes], len(values)
+
+
 def _run_alone(argv):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, COLUMNS="80")
@@ -749,7 +831,11 @@ def test_one_parser_serves_every_call_as_a_fresh_process(capsys, monkeypatch):
     assert [c for c, _, _ in in_process] == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0]
     assert {argv[2] for argv in REUSE_SEQUENCE} == set(cli.SPACE_CHOICES)
     with ThreadPoolExecutor(max_workers=2) as pool:  # two fresh processes at a time
-        assert in_process == list(pool.map(_run_alone, REUSE_SEQUENCE))
+        fresh = list(pool.map(_run_alone, REUSE_SEQUENCE))
+    # soul-dim --timings reports its own wall time, which a stalled
+    # process can round up to a millisecond; every other byte must match
+    cut, timed = _timings_cut(in_process)
+    assert timed == 1 and _timings_cut(fresh) == (cut, 1)
 
 
 def test_each_deck_group_is_built_once_per_process(capsys, monkeypatch):

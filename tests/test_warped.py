@@ -320,16 +320,22 @@ def _first_window(k_max, square):
     return min(CIRCUMFERENCE * k_max, climb) + 8.0
 
 
+def _deck_window(r_win, k_max, base, scale):
+    """(dr, half, m, pad) of a deck-distance flood over the half-width r_win."""
+    dr = max(base[0], 2.0 * r_win / 400.0) * scale
+    m = max(3, round(CIRCUMFERENCE / (base[1] * max(1.0, k_max / 10) * scale)))
+    return dr, math.ceil(r_win / dr), m, math.ceil(5.0 / (CIRCUMFERENCE / m))
+
+
 def _deck_rows(r_win, k_max, square, base, scale):
     """(dr, half, ncol, reach) of a deck-distance flood over the half-width
-    r_win: reach = ceil(U / (2 dr)) + 2, U the path to the k_max-th translate."""
-    dr = max(base[0], 2.0 * r_win / 400.0) * scale
-    half = math.ceil(r_win / dr)
-    m = max(3, round(CIRCUMFERENCE / (base[1] * max(1.0, k_max / 10) * scale)))
-    ds = CIRCUMFERENCE / m
-    ncol = k_max * m + 2 * math.ceil(5.0 / ds) + 1
-    bound = _path_bound(np.arange(-half, half + 1) * dr, ds, square, half, half, k_max * m)
-    return dr, half, ncol, min(half, math.ceil(bound / (2.0 * dr)) + 2)
+    r_win: reach is the top row h, over every k <= k_max, whose lower
+    bound LB_k(h), less 1e-9, is within U_k, plus 2 spare rows."""
+    dr, half, m, pad = _deck_window(r_win, k_max, base, scale)
+    runs = m * np.arange(1, k_max + 1)
+    upper, lower = warped._wrap_bounds(np.arange(-half, half + 1) * dr, CIRCUMFERENCE / m, square, runs)
+    top = max(h for h in range(half + 1) if any(lower[k, h] * (1 - 1e-9) <= upper[k] for k in range(k_max)))
+    return dr, half, k_max * m + 2 * pad + 1, min(half, top + 2)
 
 
 @pytest.mark.parametrize("square", [False, True])
@@ -346,16 +352,18 @@ def test_deck_distances_floods_once_per_scale_over_half_the_rows(monkeypatch, k_
     assert [(len(g.r_vals) // 2, len(g.s_vals), g.reach) for g in grids] == [
         (half, ncol, reach) for _, half, ncol, reach in expected
     ]
-    assert all(g.reach < len(g.r_vals) // 4 for g in grids)
+    assert all(g.reach < len(g.r_vals) // 5 for g in grids)
     assert [g.limit for g in grids] == [math.inf, math.inf]
     assert sizes == [(g.reach + 1) * len(g.s_vals) for g in grids]
 
 
-@pytest.mark.parametrize("k_max, reach", [(32, 163), (64, 178), (109, 183)])
-def test_fine_deck_floods_stop_at_the_path_bound(monkeypatch, k_max, reach):
-    # the climb-and-wrap window alone would flood 195, 202 and 202 rows
+@pytest.mark.parametrize("k_max, spacing, reach", [
+    (32, None, 121), (64, None, 135), (109, None, 138), (109, (0.125, 0.125), 121)])
+def test_fine_deck_floods_stop_at_the_path_bound(monkeypatch, k_max, spacing, reach):
+    # the climb-and-wrap window alone would flood 195, 202, 202 and 202
+    # rows, and a bound that counts only the climb 163, 178, 183 and 183
     grids = _record_grids(monkeypatch)
-    deck_distances(k_max)
+    deck_distances(k_max, spacing=spacing)
     assert grids[1].reach == reach
 
 
@@ -377,15 +385,83 @@ def test_a_failed_reach_check_redoes_the_flood_on_a_doubled_window(monkeypatch):
     r_win = _first_window(k_max, False)
     dr, half, _, reach = _deck_rows(r_win, k_max, False, base, scale)
     assert floods[0][0][-1] == half * dr
-    assert floods[0][1] == reach
+    assert floods[0][1] == reach == 40
     r_vals, reach, dist = floods[1]
     dr, half, _, wide_reach = _deck_rows(2.0 * r_win, k_max, False, base, scale)
     assert len(r_vals) == 2 * half + 1
     assert r_vals[-1] == half * dr
-    assert reach == wide_reach
+    assert reach == wide_reach == 26  # on rows twice as coarse
     m = round(CIRCUMFERENCE / (0.25 * k_max / 10))
     pad = math.ceil(5.0 / (CIRCUMFERENCE / m))
     assert np.array_equal(got, dist[reach, pad + m * np.arange(k_max + 1)])
+
+
+# small deck windows: (k_max, square, base)
+BOUND_CASES = [(k, square, base) for k in (3, 16) for square in (False, True)
+               for base in ((0.25, 0.25), (0.3, 0.2))]
+
+
+def _whole_deck_flood(k_max, square, base):
+    """(r_vals, ds, m, pad, dist) of the first deck window at scale 1,
+    dist its flood from the source with no row cut."""
+    dr, half, m, pad = _deck_window(_first_window(k_max, square), k_max, base, 1.0)
+    r_vals = np.arange(-half, half + 1) * dr
+    ds = CIRCUMFERENCE / m
+    s_vals = (np.arange(k_max * m + 2 * pad + 1) - pad) * ds
+    return r_vals, ds, m, pad, warped._solve_grid(r_vals, s_vals, ds, False, square, (half, pad))
+
+
+@pytest.mark.parametrize("k_max, square, base", BOUND_CASES)
+def test_the_wrap_bound_is_the_length_of_its_path(monkeypatch, k_max, square, base):
+    graphs = []
+    real = warped._grid_graph
+
+    def spy(*args):
+        graphs.append(real(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(warped, "_grid_graph", spy)
+    r_vals, ds, m, pad, dist = _whole_deck_flood(k_max, square, base)
+    (graph,) = graphs  # the mirrored rows r >= 0, row 0 at r = 0
+    rows = len(r_vals) // 2 + 1
+    ncol = graph.shape[0] // rows
+
+    def weight(i, j, di, dj):
+        return graph[i * ncol + j, (i + di) * ncol + j + dj]
+
+    eta = [weight(i, pad, 0, 1) for i in range(rows)]
+    delta = [weight(i, pad, 1, 1) for i in range(rows - 1)]
+    dr = weight(0, pad, 1, 0)
+    runs = m * np.arange(1, k_max + 1)
+    upper, _ = warped._wrap_bounds(r_vals, ds, square, runs)
+    for k, run in enumerate(runs):
+        lengths = []
+        for top in range(rows):
+            # straight over the bands whose diagonal is no cheaper than a
+            # vertical step plus a step along the top row, diagonally above
+            straight = max(sum(delta[i] >= dr + eta[top] for i in range(top)), top - run // 2)
+            climb = [dr] * straight + delta[straight:top]
+            steps = climb + [eta[top]] * (run - 2 * (top - straight)) + climb[::-1]
+            length = 0.0
+            for w in steps:
+                length += w
+            lengths.append(length)
+        assert upper[k] == pytest.approx(min(lengths) * (1 + 1e-9), rel=1e-12, abs=0)
+        assert upper[k] >= dist[len(r_vals) // 2, pad + run]
+
+
+@pytest.mark.parametrize("k_max, square, base", BOUND_CASES)
+def test_the_lower_bound_never_beats_a_real_path(k_max, square, base):
+    r_vals, ds, m, pad, dist = _whole_deck_flood(k_max, square, base)
+    half = len(r_vals) // 2
+    # the k_max-th translate's distances are the source's, mirrored in s,
+    # so the least path through a node v is D(v) + D'(v)
+    through = dist + dist[:, ::-1]
+    least_through = np.minimum(through[half:], through[half::-1]).min(axis=1)  # rows h = |r| / dr
+    _, lower = warped._wrap_bounds(r_vals, ds, square, [k_max * m])
+    # a path through row h tops out at some row h' >= h
+    least_from = np.minimum.accumulate(lower[0][::-1])[::-1]
+    assert np.all(least_from * (1 - 1e-9) <= least_through)
 
 
 def test_narrow_cylinders_keep_their_edges():
