@@ -287,11 +287,15 @@ class Isometry:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Isometry":
-        try:
-            return cls([[Fraction(x) for x in row] for row in obj["A"]],
-                       [Fraction(x) for x in obj["v"]])
-        except OverflowError:  # Fraction of an infinite float; NaN raises ValueError
-            raise ValueError("isometry entries must be finite numbers") from None
+        """The isometry of a JSON object {"A": rows, "v": entries}. Entries
+        are ints or strings such as "3/10"; booleans and floats are
+        refused with ValueError, never read as 1 or as a binary fraction."""
+        def entry(x) -> Fraction:
+            if isinstance(x, (bool, float)):
+                raise ValueError(f"isometry entries must be ints or strings, got {x!r}")
+            return Fraction(x)
+
+        return cls([[entry(x) for x in row] for row in obj["A"]], [entry(x) for x in obj["v"]])
 
     def sort_key(self) -> tuple:
         flat = tuple(x for row in self.orthogonal for x in row) + self.translation

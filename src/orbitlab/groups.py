@@ -200,12 +200,6 @@ def word_length(group: GeneratedGroup, element, cap: Optional[int] = None) -> in
     raise NotFoundWithinCap("element is not in the generated group")
 
 
-class LatticePoint(NamedTuple):
-    coords: Tuple[int, ...]  # integer coordinates in the lattice basis
-    vector: Tuple[Fraction, ...]  # the lattice vector itself
-    dist_sq: Fraction  # squared distance to the query vector
-
-
 class _Fractions(dict):
     """n -> Fraction(n, den), each built once: the values a query hands
     back repeat across its points, so one Fraction serves them all."""
@@ -390,25 +384,6 @@ class TranslationLattice:
             out.append((quad.floor, ()))
         out.sort()
         return out
-
-    def _points(self, target: Sequence, limit: Callable[[int], int]) -> List[LatticePoint]:
-        w = tuple(frac(x) for x in target)
-        quad = self._quadratic(w)
-        basis, d = self.int_basis
-        cols = tuple(zip(*basis)) if basis else ((),) * len(w)
-        coord, dist = _Fractions(d), _Fractions(quad.scale)
-        return [
-            LatticePoint(m, tuple(coord[v] for v in _mat_ints(cols, m)), dist[q])
-            for q, m in self._enumerate(quad, limit(quad.scale))
-        ]
-
-    def points_near(self, target: Sequence, radius_sq) -> List[LatticePoint]:
-        """All lattice vectors u with |u - target|^2 <= radius_sq, exactly."""
-        return self._points(target, _ball_limit(frac(radius_sq)))
-
-    def points_near_plus_sqrt(self, target: Sequence, radius, slack_sq) -> List[LatticePoint]:
-        """All lattice vectors u with |u - target| <= radius + sqrt(slack_sq)."""
-        return self._points(target, _plus_sqrt_limit(frac(radius), frac(slack_sq)))
 
     def nearest_dist_sq(self, target: Sequence) -> Fraction:
         """Exact squared distance from target to the lattice.
@@ -799,16 +774,12 @@ class DeckGroup:
                 start = i
         return hits
 
-    def lifts_near(self, x: Point, y: Point, radius_sq) -> List[OrbitHit]:
-        """All g with |g(y) - x|^2 <= radius_sq, sorted by distance."""
-        return self._hits(x, y, _ball_limit(frac(radius_sq)))
-
     def enumerate_orbit(self, x: Point, radius_sq) -> List[OrbitHit]:
         """All g with |g(x) - x|^2 <= radius_sq, sorted by distance.
 
         The ball boundary is included, matching a closed-ball orbit count.
         """
-        return self.lifts_near(x, x, radius_sq)
+        return self._hits(x, x, _ball_limit(frac(radius_sq)))
 
     def enumerate_orbit_plus_sqrt(self, x: Point, radius, slack_sq) -> List[OrbitHit]:
         """All g with |g(x) - x| <= radius + sqrt(slack_sq), decided exactly."""

@@ -24,33 +24,33 @@ even in r, so a grid symmetric about r = 0 with its source on r = 0
 and mirrored, bit-identical to the full solve.
 
 Every flood stops at the distance its answer needs, and every value it
-returns is bit-identical to a flood of the whole window. The bound is
-U, the length of one explicit grid path, minimised over the row R it
-tops out at and scaled by 1 + 1e-9. Floats round monotonically, so
-Dijkstra's float distance to a node is at most the float sum along any
-path to it; so U bounds the answer, and the distance Dijkstra returns
-is the least float sum over all paths:
+returns is bit-identical to a flood of the whole window. Each caller
+picks the rows it floods, ``rows`` around the source in ``_solve_grid``.
+The bound is U, the length of one explicit grid path, minimised over the
+row R it tops out at and scaled by 1 + 1e-9. Floats round monotonically,
+so Dijkstra's float distance to a node is at most the float sum along
+any path to it; so U bounds the answer, and the distance Dijkstra
+returns is the least float sum over all paths:
 - deck distances take U_k to each k-th translate from a path that
   climbs straight, then diagonally, runs along row R and comes down its
   mirror (``_wrap_bounds``). A path from r = 0 back to r = 0 whose top
   row is h makes at least 2h row changes and k m column changes on rows
   <= h, so it is at least LB_k(h) long; only the rows up to the top h,
   over every k <= k_max, with LB_k(h) (1 - 1e-9) <= U_k, plus 2 spare
-  rows, are flooded;
+  rows, are flooded. A window whose own top row LB admits is refused
+  with TruncationError;
 - point distances take U from a path that climbs straight to R, runs
   along it and comes straight down (``_path_bound``). Ball volumes pass
   the radius, and point distances U, as scipy's inclusive ``limit``:
   nodes within it keep their distance, the rest read inf, and, since
   every row crossing costs at least dr, only the rows within
   ceil(limit / dr) + 1 of the source are built and flooded.
-Deck-distance windows are still sized from the climb-and-wrap bound
-above and accepted once every target is below the window's half-width
-less one row; the first flood passes that check, and a doubling loop
-stays as a guard.
+Edge weights are written once (``_weights``), for the graph and for
+both bounds alike.
 
-Every grid caps its radial window at 400 rows: the row step is
-max(base dr, 2 * half-width / 400), so a requested dr is a floor, and
-windows wider than 200 base rows are solved on coarser rows.
+Every grid caps its radial window at 400 rows (``_radial``): the row
+step is max(base dr, 2 * half-width / 400), so a requested dr is a
+floor, and windows wider than 200 base rows are solved on coarser rows.
 """
 
 from __future__ import annotations
@@ -156,6 +156,33 @@ def _columns(nrow: int, ncol: int) -> np.ndarray:
     return np.arange(ncol)
 
 
+def _weights(r_vals: np.ndarray, dr: float, ds: float, square: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """(horizontal, diagonal) edge weights of the rows ``r_vals``: the
+    metric length of a step ds along row i, and of a step (dr, ds) between
+    rows i and i + 1 with the warp sampled at the segment midpoint. The
+    one place these weights are written, so the bounds of ``_wrap_bounds``
+    and ``_path_bound`` use the graph's own weights."""
+    import numpy as np
+    horiz_w = np.sqrt(metric_factor(r_vals, square)) * ds
+    diag_w = np.sqrt(dr * dr + metric_factor(0.5 * (r_vals[:-1] + r_vals[1:]), square) * ds * ds)
+    return horiz_w, diag_w
+
+
+def _radial(r_win: float, dr_floor: float, scale: float) -> Tuple[float, int, np.ndarray]:
+    """(dr, half, r_vals) of a radial window of half-width ``r_win``:
+    at most 400 rows, so the row step is max(dr_floor, 2 r_win / 400)
+    times ``scale``, and the rows are -half..half times dr.
+
+    Callers size half-widths, row cuts and cell areas with this dr; the
+    edge weights and bounds take ``r_vals[1] - r_vals[0]``. The two
+    differ in the last bit for most steps that are not powers of two, so
+    each keeps its own to keep every value's bits."""
+    import numpy as np
+    dr = max(dr_floor, 2.0 * r_win / 400.0) * scale
+    half = int(math.ceil(r_win / dr))
+    return dr, half, np.arange(-half, half + 1) * dr
+
+
 def _solve_grid(
     r_vals: np.ndarray,
     s_vals: np.ndarray,
@@ -163,79 +190,56 @@ def _solve_grid(
     periodic: bool,
     square: bool,
     source: Tuple[int, int],
-    reach: Optional[int] = None,
+    rows: Optional[int] = None,
     limit: float = math.inf,
 ) -> np.ndarray:
-    """Distances from ``source`` on the 8-neighbor metric graph.
+    """Distances from ``source`` on the 8-neighbor metric graph, over the
+    rows of ``r_vals`` within ``rows`` of the source row (all of them
+    when ``rows`` is None); the result holds those rows only.
 
     Edge weights are straight-segment lengths under the metric, with the
-    warp sampled at the segment midpoint. The chamfer metric of an
-    8-neighbor grid overshoots true path lengths by up to 8% in off-axis
-    directions; grid halving cannot see that bias because it is
-    scale-free, so the certified tolerance covers refinement convergence
-    only. Ratio and trend outputs are unaffected, and axis-aligned
-    distances (radial runs, loops around the core) are exact up to
-    discretization.
+    warp sampled at the segment midpoint (``_weights``). The chamfer
+    metric of an 8-neighbor grid overshoots true path lengths by up to 8%
+    in off-axis directions; grid halving cannot see that bias because it
+    is scale-free, so the certified tolerance covers refinement
+    convergence only. Ratio and trend outputs are unaffected, and
+    axis-aligned distances (radial runs, loops around the core) are exact
+    up to discretization.
 
-    When ``r_vals`` is symmetric about r = 0 and the source sits on its
-    centre row, only the rows with r >= 0 are flooded and then mirrored.
-    The metric is even in r, so row -i carries row i's edges weight for
-    weight, and any path through r < 0 folds onto one of the same float
-    length; the mirrored rows equal a full-grid solve bit for bit.
+    The caller chooses ``rows`` and must know that no shortest path it
+    reads leaves them. With a finite ``limit``, such as U, the flood
+    stops there: scipy's ``limit`` is inclusive, and Dijkstra's float
+    distance to a node is the least float sum over the paths to it, whose
+    partial sums never exceed it as floats round monotonically, so every
+    node within ``limit`` keeps the distance of the unlimited flood bit
+    for bit and every other node reads inf.
 
-    With ``reach`` only the rows within ``reach`` of the centre row are
-    flooded and returned; the caller must know that no shortest path it
-    reads leaves them (``_deck_distance_grid`` sets it from the bounds
-    U_k and LB_k of ``_wrap_bounds``). With a finite ``limit``, such as U, the
-    flood stops there. Dijkstra's float distance to a node is the least
-    float sum over the paths to it, and floats round monotonically, so
-    the partial sums along that least path never exceed it; scipy's
-    ``limit`` is inclusive, so every node within ``limit`` keeps the
-    distance of the unlimited flood bit for bit, and every other node
-    reads inf. Every row crossing costs at least dr (up to rounding,
-    which the spare row absorbs), so only the rows within
-    ceil(limit / dr) + 1 of the source row can hold such a node: only
-    those are built and flooded, and the result is padded back to the
-    full shape with inf, so callers' sums add up in the same order. The
-    node cap (``_columns``) and the row step ``dr`` come from the full
-    grid. The graph is built directly in CSR form (``_grid_graph``).
+    When the flooded rows are symmetric about r = 0 and the source sits
+    on their centre row, only the rows with r >= 0 are flooded and then
+    mirrored. The metric is even in r, so row -i carries row i's edges
+    weight for weight, and any path through r < 0 folds onto one of the
+    same float length; the mirrored rows equal a full solve bit for bit.
+    The row step of the weights is ``r_vals[1] - r_vals[0]``, taken from
+    the whole array: for steps that are not a power of two the first
+    difference of a slice need not equal it. The graph is built directly
+    in CSR form (``_grid_graph``).
     """
     import numpy as np
-    nrow = len(r_vals)
-    ncol = len(s_vals)
-    # taken from the full array: for steps that are not a power of two
-    # the first difference of a slice need not equal r_vals[1] - r_vals[0]
     dr = float(r_vals[1] - r_vals[0])
-    centre = nrow // 2
-    if reach is not None and reach < centre:
-        lo = centre - reach
-        r_vals = r_vals[lo : nrow - lo]
-        source = (source[0] - lo, source[1])
-        nrow = len(r_vals)
-    full = nrow
-    band = int(math.ceil(limit / dr)) + 1 if limit < math.inf else nrow
-    lo, hi = max(0, source[0] - band), min(nrow, source[0] + band + 1)
-    r_vals = r_vals[lo:hi]
-    source = (source[0] - lo, source[1])
-    nrow = len(r_vals)
-    centre = nrow // 2
-    mirror = nrow % 2 == 1 and source[0] == centre and np.array_equal(r_vals[::-1], -r_vals)
+    si, sj = source
+    if rows is not None:
+        lo = max(0, si - rows)
+        r_vals = r_vals[lo : si + rows + 1]
+        si -= lo
+    nrow, ncol = len(r_vals), len(s_vals)
+    mirror = nrow % 2 == 1 and si == nrow // 2 and np.array_equal(r_vals[::-1], -r_vals)
     if mirror:
-        r_vals = r_vals[centre:]
-        source = (0, source[1])
-        nrow = len(r_vals)
-    row_factor = metric_factor(r_vals, square)
-    mid_factor = metric_factor(0.5 * (r_vals[:-1] + r_vals[1:]), square)
-    horiz_w = np.sqrt(row_factor) * ds
-    diag_w = np.sqrt(dr * dr + mid_factor * ds * ds)
+        r_vals = r_vals[si:]
+        nrow, si = len(r_vals), 0
+    horiz_w, diag_w = _weights(r_vals, dr, ds, square)
     graph = _grid_graph(nrow, ncol, dr, horiz_w, diag_w, periodic)
-    dist = dijkstra(graph, directed=False, indices=source[0] * ncol + source[1], limit=limit)
-    dist = dist.reshape(nrow, ncol)
-    if mirror:
-        dist = np.concatenate([dist[:0:-1], dist])
-    if hi - lo < full:
-        dist = np.concatenate([np.full((lo, ncol), np.inf), dist, np.full((full - hi, ncol), np.inf)])
-    return dist
+    dist = dijkstra(graph, directed=False, indices=si * ncol + sj, limit=limit).reshape(nrow, ncol)
+    return np.concatenate([dist[:0:-1], dist]) if mirror else dist
 
 
 def _path_bound(
@@ -254,7 +258,7 @@ def _path_bound(
     dr = float(r_vals[1] - r_vals[0])
     rows = np.arange(len(r_vals))
     climb = (np.abs(rows - start_row) + np.abs(rows - end_row)) * dr
-    horiz_w = np.sqrt(metric_factor(r_vals, square)) * ds
+    horiz_w, _ = _weights(r_vals, dr, ds, square)
     return float((climb + run * horiz_w).min()) * (1.0 + 1e-9)
 
 
@@ -277,15 +281,13 @@ def _wrap_bounds(
     and w + d >= K cost at least 2h dr + K eta + min(2h, K) min(0, delta -
     dr - eta), eta and delta the least horizontal and diagonal weights
     there (a diagonal costs at least dr and, the warp shrinking outward,
-    at least eta, so more than min(2h, K) of them save nothing). Weights
-    are computed as ``_solve_grid`` computes them.
+    at least eta, so more than min(2h, K) of them save nothing). The
+    weights are the graph's own (``_weights``).
     """
     import numpy as np
-    r = r_vals[len(r_vals) // 2 :]
     dr = float(r_vals[1] - r_vals[0])
-    eta = np.sqrt(metric_factor(r, square)) * ds
-    delta = np.sqrt(dr * dr + metric_factor(0.5 * (r[:-1] + r[1:]), square) * ds * ds)
-    rows = np.arange(len(r))
+    eta, delta = _weights(r_vals[len(r_vals) // 2 :], dr, ds, square)
+    rows = np.arange(len(eta))
     runs = np.asarray(runs)[:, None]
     steep = np.minimum(np.searchsorted(-delta, -(dr + eta), side="right"), rows)
     a = np.maximum(steep, rows - runs // 2)
@@ -348,54 +350,43 @@ def _deck_distance_grid(k_max: int, scale: float, square: bool, base: Tuple[floa
 
     The s-spacing divides 2*pi exactly, so every target sits on a grid
     node; only genuine discretization error enters the certification.
-    The radial half-width r_win starts at the length of the shorter of
-    two paths to the k_max-th translate, plus a margin of 8 for grid
-    error: the loop through the core (2*pi*k) and the climb-and-wrap
-    path at its best height (4*sqrt(pi*k), or 3*(2*pi*k)^(1/3) for the
-    squared warp). It fixes the row step dr (through the 400-row cap)
-    and the window's half row count, half.
+    The radial half-width r_win is the length of the shorter of two paths
+    to the k_max-th translate, plus a margin of 8 for grid error: the
+    loop through the core (2*pi*k) and the climb-and-wrap path at its
+    best height (4*sqrt(pi*k), or 3*(2*pi*k)^(1/3) for the squared warp).
+    It fixes the row step dr (through the 400-row cap) and the window's
+    half row count, half.
 
-    Only the rows |i| <= reach are flooded (``_wrap_bounds``). U_k is
+    Only the rows |i| <= top + 2 are flooded (``_wrap_bounds``). U_k is
     the length of the grid path that climbs to the best row R (straight,
     then diagonally where that is cheaper), runs along it to the k-th
     translate and comes back down its mirror: Dijkstra's float distance
     to a node is the least float sum over the paths to it, and floats
     round monotonically, so U_k bounds target k. LB_k(h) bounds every
-    path to it whose top row is h, and reach = min(half, top + 2), top
-    the largest h, over every k <= k_max, with LB_k(h) (1 - 1e-9) <=
-    U_k. A path that leaves those rows tops out above top, so it is
-    longer than U_k, even in floats, and cannot be the least; the
-    targets equal a flood of the whole window bit for bit. Once every
-    target is below (half - 1) dr, the window boundary (at least half *
-    dr away) lies beyond every target too. That check passes on the
-    first flood; a flood that fails it is redone on a window twice as
-    wide.
+    path to it whose top row is h, and top is the largest h, over every
+    k <= k_max, with LB_k(h) (1 - 1e-9) <= U_k. A path that leaves those
+    rows tops out above top, so it is longer than U_k, even in floats,
+    and cannot be the least; the targets equal a flood of the whole
+    window bit for bit. A window whose own top row LB admits
+    (top >= half) is refused with TruncationError; r_win leaves top + 2
+    well inside half (at most 0.39 half for k_max up to 400).
     """
     import numpy as np
     base_dr, base_ds = base
     climb = 3.0 * (CIRCUMFERENCE * k_max) ** (1.0 / 3.0) if square else 4.0 * math.sqrt(math.pi * k_max)
-    r_win = min(CIRCUMFERENCE * k_max, climb) + 8.0
-    for attempt in range(4):
-        dr = max(base_dr, 2.0 * r_win / 400.0) * scale
-        half = int(math.ceil(r_win / dr))
-        r_vals = np.arange(-half, half + 1) * dr
-        ds_target = base_ds * max(1.0, k_max / 10.0) * scale
-        m = max(3, int(round(CIRCUMFERENCE / ds_target)))
-        ds = CIRCUMFERENCE / m
-        pad = int(math.ceil(5.0 / ds))
-        ncol = k_max * m + 2 * pad + 1
-        s_vals = (_columns(2 * half + 1, ncol) - pad) * ds
-        upper, lower = _wrap_bounds(r_vals, ds, square, m * np.arange(1, k_max + 1))
-        top = np.flatnonzero((lower * (1.0 - 1e-9) <= upper[:, None]).any(axis=0))[-1]
-        reach = min(half, int(top) + 2)
-        dist = _solve_grid(
-            r_vals, s_vals, ds, periodic=False, square=square, source=(half, pad), reach=reach
-        )
-        targets = dist[reach, pad + m * np.arange(k_max + 1)]
-        if targets.max() < (half - 1) * dr:
-            return targets
-        r_win *= 2.0
-    raise TruncationError("deck distance window kept touching its own boundary")
+    dr, half, r_vals = _radial(min(CIRCUMFERENCE * k_max, climb) + 8.0, base_dr, scale)
+    ds_target = base_ds * max(1.0, k_max / 10.0) * scale
+    m = max(3, int(round(CIRCUMFERENCE / ds_target)))
+    ds = CIRCUMFERENCE / m
+    pad = int(math.ceil(5.0 / ds))
+    ncol = k_max * m + 2 * pad + 1
+    s_vals = (_columns(2 * half + 1, ncol) - pad) * ds
+    upper, lower = _wrap_bounds(r_vals, ds, square, m * np.arange(1, k_max + 1))
+    top = int(np.flatnonzero((lower * (1.0 - 1e-9) <= upper[:, None]).any(axis=0))[-1])
+    if top >= half:
+        raise TruncationError("deck distance window is no wider than its path bound")
+    dist = _solve_grid(r_vals, s_vals, ds, periodic=False, square=square, source=(half, pad), rows=top + 2)
+    return dist[len(dist) // 2, pad + m * np.arange(k_max + 1)]
 
 
 def deck_distances(
@@ -416,6 +407,11 @@ def deck_distances(
     not the row cap, is what pushes the halving gap of long tables over
     the tolerance at the default spacing (2.07% at k_max = 169, which
     ``verify_dual`` asks for at r = 40, and 2.41% at k_max = 150).
+
+    Each spacing floods one window, cut at the rows its path bounds allow
+    (``_deck_distance_grid``); there is no retry on a wider window. A
+    window whose top row the lower bound cannot rule out raises
+    TruncationError.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -430,21 +426,23 @@ def deck_distances(
 def _ball_volume_grid(radius: float, scale: float, square: bool, base: Tuple[float, float]) -> float:
     import numpy as np
     base_dr, base_ds = base
-    r_max = radius + 2.0
     # small balls need proportionally finer cells to keep the boundary
     # error inside the certification tolerance
     refine = min(1.0, radius / 4.0)
-    dr = max(base_dr * refine, 2.0 * r_max / 400.0) * scale
-    half = int(math.ceil(r_max / dr))
-    r_vals = np.arange(-half, half + 1) * dr
+    dr, half, r_vals = _radial(radius + 2.0, base_dr * refine, scale)
     n_s = max(16, int(round(CIRCUMFERENCE / (base_ds * refine * scale))))
     ds = CIRCUMFERENCE / n_s
     s_vals = _columns(2 * half + 1, n_s) * ds
-    dist = _solve_grid(r_vals, s_vals, ds, periodic=True, square=square, source=(half, 0), limit=radius)
+    rows = int(math.ceil(radius / dr)) + 1
+    dist = _solve_grid(r_vals, s_vals, ds, periodic=True, square=square, source=(half, 0), rows=rows, limit=radius)
     if min(dist[0, :].min(), dist[-1, :].min()) <= radius:
         raise TruncationError("ball reached the radial window boundary")
+    # the flooded rows go back into the whole window, the rest outside the
+    # ball, so the sum adds up in the same order whatever the cut
+    cut = half - len(dist) // 2
+    inside = np.zeros((2 * half + 1, n_s), dtype=bool)
+    inside[cut : cut + len(dist)] = dist <= radius
     areas = np.sqrt(metric_factor(r_vals, square)) * dr * ds
-    inside = dist <= radius
     return float((inside * areas[:, None]).sum())
 
 
@@ -663,10 +661,7 @@ def point_distance(
     def solve(scale: float) -> float:
         wrap = 1.0 if periodic else abs(end[1] - start[1]) / CIRCUMFERENCE + 1.0
         climb = math.sqrt(math.pi * wrap)
-        r_win = max(abs(start[0]), abs(end[0])) + climb + 8.0
-        dr = max(base_dr, 2.0 * r_win / 400.0) * scale
-        half = int(math.ceil(r_win / dr))
-        r_vals = np.arange(-half, half + 1) * dr
+        dr, half, r_vals = _radial(max(abs(start[0]), abs(end[0])) + climb + 8.0, base_dr, scale)
         if periodic:
             n_s = max(16, int(round(CIRCUMFERENCE / (base_ds * scale))))
             ds = CIRCUMFERENCE / n_s
@@ -687,10 +682,11 @@ def point_distance(
         if periodic:
             run = min(run, len(s_vals) - run)
         bound = _path_bound(r_vals, ds, square, si, ei, run)
+        rows = int(math.ceil(bound / dr)) + 1
         dist = _solve_grid(
-            r_vals, s_vals, ds, periodic=periodic, square=square, source=(si, sj), limit=bound
+            r_vals, s_vals, ds, periodic=periodic, square=square, source=(si, sj), rows=rows, limit=bound
         )
-        return float(dist[ei, ej])
+        return float(dist[ei - max(0, si - rows), ej])
 
     fine, coarse, rel = _certified(solve, "point distance", tol)
     return CertifiedValue(fine, coarse, rel, tol)

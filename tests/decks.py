@@ -6,6 +6,8 @@ the integer kernel must carry the matrix denominator. ``p4m`` is the
 square-lattice orbifold group with all eight symmetries of the square as
 coset representatives; points on its mirror lines have several elements
 with the same image, so hit order there falls to ``Isometry.sort_key``.
+``lattice_scan`` reads the one lattice scan as (coords, vector, distance)
+triples, for the tests that check it against a brute-force scan.
 """
 
 from fractions import Fraction
@@ -35,6 +37,15 @@ def p4m_deck() -> DeckGroup:
 
 CUSTOM_DECKS = {"rotated-klein": rotated_klein_deck, "p4m": p4m_deck}
 DECK_NAMES = DECK_GROUP_NAMES + ("z2", "z3") + tuple(CUSTOM_DECKS)
+
+
+def lattice_scan(lattice: TranslationLattice, target, limit) -> list:
+    """(coords, vector, |vector - target|^2) of every lattice vector that
+    ``TranslationLattice._enumerate`` keeps under ``limit`` (a
+    ``groups._ball_limit`` or ``groups._plus_sqrt_limit``), in scan order."""
+    quad = lattice._quadratic(tuple(Fraction(x) for x in target))
+    return [(m, lattice.vector(m), Fraction(q, quad.scale))
+            for q, m in lattice._enumerate(quad, limit(quad.scale))]
 
 
 def deck(name: str) -> DeckGroup:

@@ -350,6 +350,11 @@ def test_classify_noncommuting_fails_with_error_payload(capsys):
         ("verify-dual", "--space", "warped", "--radii", "8,inf"),
         ("warped-distance", "--from", "0,0", "--to", "nan,0"),
         ("warped-ratio", "--c", "nan", "--radii", "4"),
+        # isometry entries are ints or fraction strings, as snf's are ints
+        ("classify", "--generators", '[{"A": [[true]], "v": [0]}]'),
+        ("classify", "--generators", '[{"A": [[1]], "v": [false]}]'),
+        ("classify", "--generators", '[{"A": [[1]], "v": [0.5]}]'),
+        ("classify", "--generators", '[{"A": [[1.0, 0], [0, 1]], "v": [0, 1]}]'),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -684,6 +689,53 @@ def test_exact_commands_exit_on_a_documented_code(argv):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     assert time.perf_counter() - start < 0.5
+
+
+# ---------------------------------------------------------------------------
+# exit codes of the flat Monte Carlo and growth commands on generated argv
+
+# radii at most 4 and 1,000-2,000 samples keep every example to tens of
+# milliseconds; paper-suite is left out, as its quick run alone takes
+# seconds
+FLAT_NUMBERS = st.one_of(st.integers(-2, 4).map(str),
+                         st.sampled_from(["0", "-0", "1/2", "7/3", "3.5", "1/0", "nan", "x", ""]))
+FLAT_RADII = st.one_of(
+    st.sets(st.integers(1, 4), min_size=1, max_size=4).map(lambda rs: ",".join(map(str, sorted(rs)))),
+    st.lists(FLAT_NUMBERS, min_size=1, max_size=4).map(",".join))
+SAMPLES = st.one_of(st.integers(1000, 2000).map(str), st.sampled_from(["999", "0", "-1", "x"]))
+
+
+@st.composite
+def flat_command_argv(draw):
+    command = draw(st.sampled_from(["thin-set", "verify-dual", "growth-fit", "injection-check"]))
+    if command == "injection-check":
+        argv = [command, "--kind", "polycyclic"] if draw(st.booleans()) else [command]
+        argv += ["--group", draw(GROUP_NAMES)] if draw(st.booleans()) else []
+        argv += ["--box", draw(FLAT_NUMBERS)] if draw(st.booleans()) else []
+        return argv + (["--cap", draw(CAPS)] if draw(st.booleans()) else [])
+    argv = [command, "--space", draw(SPACE_NAMES), "--radii", draw(FLAT_RADII)]
+    argv += ["--base", draw(POINTS)] if draw(st.booleans()) else []
+    if command == "thin-set":
+        argv += ["--h", draw(FRACTIONS)]
+    if command != "growth-fit":
+        argv += ["--samples", draw(SAMPLES)]
+        argv += ["--seed", draw(st.integers(0, 9).map(str))] if draw(st.booleans()) else []
+    if command == "verify-dual" and draw(st.booleans()):
+        argv += ["--word-variant"]
+    return argv + (["--format", "csv"] if draw(st.booleans()) else [])
+
+
+def test_flat_commands_exit_on_a_documented_code():
+    @given(flat_command_argv())
+    @settings(max_examples=100, deadline=None)
+    def exits_on_a_documented_code(argv):
+        code, err = _main_quietly(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+    start = time.perf_counter()
+    exits_on_a_documented_code()
+    assert time.perf_counter() - start < 3.0  # every example together
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,23 @@ def test_serialization_round_trip():
         assert Isometry.from_obj(g.to_obj()) == g
 
 
+@pytest.mark.parametrize("obj", [
+    {"A": [[True]], "v": [0]},
+    {"A": [[1]], "v": [False]},
+    {"A": [[1]], "v": [0.5]},
+    {"A": [[1.0, 0], [0, 1]], "v": [0, 1]},
+    {"A": [[0, -1], [1, 0]], "v": ["1/2", 0.0]},
+])
+def test_from_obj_refuses_booleans_and_floats(obj):
+    with pytest.raises(ValueError, match="ints or strings"):
+        Isometry.from_obj(obj)
+
+
+def test_from_obj_reads_ints_and_fraction_strings():
+    g = Isometry.from_obj({"A": [[0, -1], ["1", "0"]], "v": ["3/10", -2]})
+    assert g == Isometry([[0, -1], [1, 0]], (Fraction(3, 10), -2))
+
+
 def test_sort_key_orders_deterministically():
     rng = random.Random(99)
     gs = [_random_isometry(rng, 2) for _ in range(30)]

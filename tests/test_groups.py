@@ -20,6 +20,8 @@ from orbitlab.groups import (
     GeneratedGroup,
     HeisenbergElement,
     TranslationLattice,
+    _ball_limit,
+    _plus_sqrt_limit,
     builtin_deck_group,
     builtin_generated_group,
     enumeration_cap,
@@ -31,6 +33,8 @@ from orbitlab.groups import (
     zk_group,
 )
 from orbitlab.orbit import ball_counts, finite_index_comparison, milnor_check, translation_subgroup
+
+from decks import lattice_scan
 
 # --------------------------------------------------------------------------
 # word balls
@@ -191,18 +195,19 @@ def test_lattice_coordinates_round_trip():
     assert (Fraction(3, 2), Fraction(2, 3)) in lat
 
 
+# "points near" a target: the lattice scan under a ball or radius-plus-sqrt limit
 def test_points_near_integer_lattice():
     lat = TranslationLattice([[1, 0], [0, 1]])
-    pts = lat.points_near((0, 0), 2)
+    pts = lattice_scan(lat, (0, 0), _ball_limit(Fraction(2)))
     assert len(pts) == 9
-    assert pts[0].dist_sq == 0
+    assert pts[0][2] == 0
 
 
 def test_points_near_skewed_lattice():
     lat = TranslationLattice([[1, 1], [1, -1]])  # checkerboard sublattice
-    pts = lat.points_near((0, 0), 2)
+    pts = lattice_scan(lat, (0, 0), _ball_limit(Fraction(2)))
     assert len(pts) == 5
-    assert {p.vector for p in pts} == {
+    assert {p[1] for p in pts} == {
         (0, 0), (1, 1), (1, -1), (-1, 1), (-1, -1)
     }
 
@@ -233,7 +238,7 @@ def test_points_near_matches_brute_force(seed):
     for _ in range(10):
         target = (Fraction(rng.randint(-6, 6), 5), Fraction(rng.randint(-6, 6), 5))
         rho2 = Fraction(rng.randint(1, 30), 4)
-        fast = {p.coords for p in lat.points_near(target, rho2)}
+        fast = {p[0] for p in lattice_scan(lat, target, _ball_limit(rho2))}
         assert fast == _brute_points(basis, target, rho2)
 
 
@@ -252,14 +257,14 @@ def test_nearest_dist_sq_matches_brute_force():
 def test_points_near_plus_sqrt_boundary():
     lat = TranslationLattice([[1]])
     # |v| <= 1 + sqrt(4) = 3 exactly: seven integers
-    pts = lat.points_near_plus_sqrt((0,), 1, 4)
-    assert [p.vector[0] for p in pts] == [0, -1, 1, -2, 2, -3, 3]
+    pts = lattice_scan(lat, (0,), _plus_sqrt_limit(Fraction(1), Fraction(4)))
+    assert [p[1][0] for p in pts] == [0, -1, 1, -2, 2, -3, 3]
 
 
 def test_points_near_plus_sqrt_contains_plain_ball():
     lat = TranslationLattice([[1, 1], [1, -1]])
-    plain = {p.coords for p in lat.points_near(("1/5", "2/5"), 9)}
-    extended = {p.coords for p in lat.points_near_plus_sqrt(("1/5", "2/5"), 3, 2)}
+    plain = {p[0] for p in lattice_scan(lat, ("1/5", "2/5"), _ball_limit(Fraction(9)))}
+    extended = {p[0] for p in lattice_scan(lat, ("1/5", "2/5"), _plus_sqrt_limit(Fraction(3), Fraction(2)))}
     assert plain <= extended
 
 

@@ -1,12 +1,15 @@
 """Recorded exact orbit enumerations, nearest distances and comparison reports.
 
-Every hit list of `enumerate_orbit`, `lifts_near` and
-`enumerate_orbit_plus_sqrt`, every lattice query (`points_near`,
-`points_near_plus_sqrt`, `nearest_dist_sq`), every quotient distance and
-every `milnor_check` and `finite_index_comparison` report below was
-recorded once from the Fraction implementation and must replay equal,
-element by element and in the same order. The decks are the bundled ones,
-z2, z3 and the two custom decks of `decks.py`.
+Every hit list of `enumerate_orbit`, `enumerate_orbit_plus_sqrt` and the
+lift scan `DeckGroup._hits` (call `lifts_near`: all g with
+|g(y) - x|^2 <= radius_sq), every lattice scan read by
+`decks.lattice_scan` (calls `points_near` and `points_near_plus_sqrt`,
+the names of the views that once wrapped it), every nearest lattice
+distance (`nearest_dist_sq`), every quotient distance and every
+`milnor_check` and `finite_index_comparison` report below was recorded
+once from the Fraction implementation and must replay equal, element by
+element and in the same order. The decks are the bundled ones, z2, z3
+and the two custom decks of `decks.py`.
 
 Re-record (only when an output is meant to change) with
 
@@ -22,9 +25,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from decks import DECK_NAMES, SUBGROUPS, deck  # noqa: E402
+from decks import DECK_NAMES, SUBGROUPS, deck, lattice_scan  # noqa: E402
 from orbitlab.euclid import Point  # noqa: E402
-from orbitlab.groups import DeckGroup  # noqa: E402
+from orbitlab.groups import DeckGroup, _ball_limit, _plus_sqrt_limit  # noqa: E402
 from orbitlab.orbit import finite_index_comparison, milnor_check, translation_subgroup  # noqa: E402
 
 F = Fraction
@@ -55,7 +58,7 @@ def _hits(hits):
 
 
 def _lattice_points(points):
-    return [f"{_s(p.coords)}|{_s(p.vector)}|{p.dist_sq}" for p in points]
+    return [f"{_s(coords)}|{_s(vector)}|{dist_sq}" for coords, vector, dist_sq in points]
 
 
 def _report(rep):
@@ -108,12 +111,12 @@ def golden_outcome(case):
     if call == "enumerate_orbit_plus_sqrt":
         return _hits(d.enumerate_orbit_plus_sqrt(x, F(case["radius"]), F(case["slack_sq"])))
     if call == "lifts_near":
-        return _hits(d.lifts_near(x, pts[case["y"]], F(case["radius_sq"])))
+        return _hits(d._hits(x, pts[case["y"]], _ball_limit(F(case["radius_sq"]))))
     if call == "points_near":
-        return _lattice_points(d.lattice.points_near(tuple(x), F(case["radius_sq"])))
+        return _lattice_points(lattice_scan(d.lattice, x, _ball_limit(F(case["radius_sq"]))))
     if call == "points_near_plus_sqrt":
-        return _lattice_points(d.lattice.points_near_plus_sqrt(
-            tuple(x), F(case["radius"]), F(case["slack_sq"])))
+        return _lattice_points(lattice_scan(
+            d.lattice, x, _plus_sqrt_limit(F(case["radius"]), F(case["slack_sq"]))))
     if call == "nearest_dist_sq":
         return str(d.lattice.nearest_dist_sq(tuple(x)))
     if call == "quotient_dist_sq":

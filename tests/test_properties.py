@@ -17,7 +17,7 @@ on isometries (word balls against a plain composition search), the
 counting paths against building any isometry, the ray queries against
 building one per orbit record, and ray scales against the first deck element of a box scan that cuts the ray. The warped grid solver, which
 floods only the r >= 0 half of a symmetric grid, or only the rows within
-a given reach of its centre, is checked bit for bit against a plain
+a given count of its source row, is checked bit for bit against a plain
 Dijkstra over the whole grid (cylinders of one column up), and the deck
 distances, whose flood stops at the rows a shortest path can reach,
 against a flood of their whole window. The Monte Carlo estimator, which
@@ -401,9 +401,9 @@ def test_integer_scan_matches_a_fraction_box_scan(lattice, data):
     rho2 = data.draw(st.fractions(min_value=0, max_value=9, max_denominator=9))
     r = data.draw(st.fractions(min_value=0, max_value=2, max_denominator=5))
     q2 = data.draw(st.fractions(min_value=0, max_value=3, max_denominator=5))
-    got = [tuple(p) for p in lattice.points_near(w, rho2)]
+    got = decks.lattice_scan(lattice, w, groups._ball_limit(rho2))
     assert got == _box_lattice_points(lattice, w, math.sqrt(rho2), lambda d2: d2 <= rho2)
-    got = [tuple(p) for p in lattice.points_near_plus_sqrt(w, r, q2)]
+    got = decks.lattice_scan(lattice, w, groups._plus_sqrt_limit(r, q2))
     assert got == _box_lattice_points(lattice, w, float(r) + math.sqrt(q2),
                                       lambda d2: leq_radius_plus_sqrt(d2, r, q2))
     # the rounded projection bounds the nearest distance
@@ -421,9 +421,9 @@ def test_scan_checks_the_cap_before_it_starts(monkeypatch):
     monkeypatch.setattr(groups.TranslationLattice, "_enumerate",
                         lambda self, *a: scanned.append(1) or enumerate_(self, *a))
     monkeypatch.setattr(groups, "enumeration_cap", lambda: 50)
-    assert len(lattice.points_near((0, 0), 9)) == 29  # a 7 x 7 box fits under 50
+    assert len(decks.lattice_scan(lattice, (0, 0), groups._ball_limit(Fraction(9)))) == 29  # 7 x 7 fits 50
     with pytest.raises(CapExceeded) as err:
-        lattice.points_near((0, 0), 16)  # 9 x 9 = 81 candidates
+        decks.lattice_scan(lattice, (0, 0), groups._ball_limit(Fraction(16)))  # 9 x 9 = 81 candidates
     assert err.value.limit == 50
     with pytest.raises(CapExceeded):
         decks.deck("klein2").enumerate_orbit(Point((0, 0)), 100)
@@ -943,10 +943,10 @@ def test_half_grid_solve_matches_the_whole_grid(half, ncol, dr, ds, periodic, sq
     shift = data.draw(st.sampled_from([0.0, 0.0, 0.5 * dr]))
     r_vals = r_vals + shift
     source = (row, data.draw(st.integers(0, ncol - 1)))
-    # a centre-row source may cut the flood to the rows within ``reach``,
+    # the flood may be cut to the rows within ``cut`` of the source row,
     # whose edges still use the whole grid's first difference as dr
-    reach = data.draw(st.one_of(st.none(), st.integers(0, half))) if row == half else None
-    kept = half if reach is None else reach
+    cut = data.draw(st.one_of(st.none(), st.integers(0, nrow)))
+    rows = slice(0, nrow) if cut is None else slice(max(0, row - cut), row + cut + 1)
     graphs = []
     real = warped.dijkstra
 
@@ -955,15 +955,15 @@ def test_half_grid_solve_matches_the_whole_grid(half, ncol, dr, ds, periodic, sq
         return real(graph, *args, **kwargs)
 
     with mock.patch.object(warped, "dijkstra", spy):
-        got = warped._solve_grid(r_vals, np.arange(ncol) * ds, ds, periodic, square, source, reach=reach)
-    rows = slice(half - kept, half + kept + 1)
+        got = warped._solve_grid(r_vals, np.arange(ncol) * ds, ds, periodic, square, source, rows=cut)
     want = _whole_grid_distances(
         r_vals[rows], ncol, ds, periodic, square, (source[0] - rows.start, source[1]),
         dr=float(r_vals[1] - r_vals[0]),
     )
     assert np.array_equal(got, want)
+    # only a centre-row source on an unshifted grid sees symmetric rows
     folded = row == half and shift == 0.0
-    flooded = kept + 1 if folded else 2 * kept + 1
+    flooded = len(want) // 2 + 1 if folded else len(want)
     # one stored entry per neighbour pair
     pairs = {
         frozenset({(i, j), (i + di, (j + dj) % ncol if periodic else j + dj)})

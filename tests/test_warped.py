@@ -10,8 +10,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from orbitlab import warped
-from orbitlab.errors import ConvergenceError
+from orbitlab import cli, warped
+from orbitlab.errors import ConvergenceError, TruncationError
 from orbitlab.warped import (
     CIRCUMFERENCE,
     RatioRow,
@@ -273,7 +273,7 @@ class Grid(NamedTuple):
     s_vals: np.ndarray
     ds: float
     source: tuple
-    reach: object
+    rows: object
     limit: float
 
 
@@ -297,7 +297,7 @@ def _record_grids(monkeypatch):
     real = warped._solve_grid
 
     def spy(r_vals, s_vals, ds, **kwargs):
-        grids.append(Grid(r_vals, s_vals, ds, kwargs["source"], kwargs.get("reach"),
+        grids.append(Grid(r_vals, s_vals, ds, kwargs["source"], kwargs.get("rows"),
                           kwargs.get("limit", math.inf)))
         return real(r_vals, s_vals, ds, **kwargs)
 
@@ -328,14 +328,14 @@ def _deck_window(r_win, k_max, base, scale):
 
 
 def _deck_rows(r_win, k_max, square, base, scale):
-    """(dr, half, ncol, reach) of a deck-distance flood over the half-width
-    r_win: reach is the top row h, over every k <= k_max, whose lower
+    """(dr, half, ncol, rows) of a deck-distance flood over the half-width
+    r_win: rows is the top row h, over every k <= k_max, whose lower
     bound LB_k(h), less 1e-9, is within U_k, plus 2 spare rows."""
     dr, half, m, pad = _deck_window(r_win, k_max, base, scale)
     runs = m * np.arange(1, k_max + 1)
     upper, lower = warped._wrap_bounds(np.arange(-half, half + 1) * dr, CIRCUMFERENCE / m, square, runs)
     top = max(h for h in range(half + 1) if any(lower[k, h] * (1 - 1e-9) <= upper[k] for k in range(k_max)))
-    return dr, half, k_max * m + 2 * pad + 1, min(half, top + 2)
+    return dr, half, k_max * m + 2 * pad + 1, top + 2
 
 
 @pytest.mark.parametrize("square", [False, True])
@@ -349,12 +349,12 @@ def test_deck_distances_floods_once_per_scale_over_half_the_rows(monkeypatch, k_
     expected = [_deck_rows(_first_window(k_max, square), k_max, square, base, scale) for scale in (1.0, 0.5)]
     # the flood stops at the rows a path no longer than U can reach, well
     # inside the window's half
-    assert [(len(g.r_vals) // 2, len(g.s_vals), g.reach) for g in grids] == [
-        (half, ncol, reach) for _, half, ncol, reach in expected
+    assert [(len(g.r_vals) // 2, len(g.s_vals), g.rows) for g in grids] == [
+        (half, ncol, rows) for _, half, ncol, rows in expected
     ]
-    assert all(g.reach < len(g.r_vals) // 5 for g in grids)
+    assert all(g.rows < len(g.r_vals) // 5 for g in grids)
     assert [g.limit for g in grids] == [math.inf, math.inf]
-    assert sizes == [(g.reach + 1) * len(g.s_vals) for g in grids]
+    assert sizes == [(g.rows + 1) * len(g.s_vals) for g in grids]
 
 
 @pytest.mark.parametrize("k_max, spacing, reach", [
@@ -364,36 +364,29 @@ def test_fine_deck_floods_stop_at_the_path_bound(monkeypatch, k_max, spacing, re
     # rows, and a bound that counts only the climb 163, 178, 183 and 183
     grids = _record_grids(monkeypatch)
     deck_distances(k_max, spacing=spacing)
-    assert grids[1].reach == reach
+    assert grids[1].rows == reach
 
 
-def test_a_failed_reach_check_redoes_the_flood_on_a_doubled_window(monkeypatch):
-    # the first flood reports targets beyond (half - 1) dr, so the check
-    # fails and the window doubles; the second flood is the real one
-    floods = []
-    real = warped._solve_grid
+def test_a_window_whose_top_row_the_bound_admits_is_refused(monkeypatch, capsys):
+    # LB_k(h) patched to 0 on the window's top row: a path up there could
+    # win, so no flood of this window is trusted
+    real = warped._wrap_bounds
+    tops = []
 
-    def spy(r_vals, s_vals, *args, **kwargs):
-        dist = real(r_vals, s_vals, *args, **kwargs)
-        floods.append((r_vals, kwargs["reach"], dist))
-        return dist + r_vals[-1] if len(floods) == 1 else dist
+    def admit_top(r_vals, *args):
+        upper, lower = real(r_vals, *args)
+        tops.append(len(r_vals) // 2)
+        lower[:, -1] = 0.0
+        return upper, lower
 
-    monkeypatch.setattr(warped, "_solve_grid", spy)
-    k_max, scale, base = 16, 1.0, (0.25, 0.25)
-    got = warped._deck_distance_grid(k_max, scale, False, base)
-    assert len(floods) == 2
-    r_win = _first_window(k_max, False)
-    dr, half, _, reach = _deck_rows(r_win, k_max, False, base, scale)
-    assert floods[0][0][-1] == half * dr
-    assert floods[0][1] == reach == 40
-    r_vals, reach, dist = floods[1]
-    dr, half, _, wide_reach = _deck_rows(2.0 * r_win, k_max, False, base, scale)
-    assert len(r_vals) == 2 * half + 1
-    assert r_vals[-1] == half * dr
-    assert reach == wide_reach == 26  # on rows twice as coarse
-    m = round(CIRCUMFERENCE / (0.25 * k_max / 10))
-    pad = math.ceil(5.0 / (CIRCUMFERENCE / m))
-    assert np.array_equal(got, dist[reach, pad + m * np.arange(k_max + 1)])
+    monkeypatch.setattr(warped, "_wrap_bounds", admit_top)
+    floods = _record_solves(monkeypatch)
+    with pytest.raises(TruncationError, match="no wider than its path bound"):
+        warped._deck_distance_grid(16, 1.0, False, (0.25, 0.25))
+    assert tops == [_deck_window(_first_window(16, False), 16, (0.25, 0.25), 1.0)[1]]
+    assert floods == []
+    assert cli.main(["warped-distance", "--k", "4"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == "TruncationError"
 
 
 # small deck windows: (k_max, square, base)
@@ -472,6 +465,11 @@ def test_narrow_cylinders_keep_their_edges():
     assert two[4, 1] == math.sqrt(0.25**2 + 1.0) + 0.25
     one = warped._solve_grid(r_vals, np.arange(1.0), 1.0, True, False, (2, 0))
     assert one[:, 0].tolist() == [0.5, 0.25, 0.0, 0.25, 0.5]
+    # a row cut keeps the source's rows and their edges
+    assert warped._solve_grid(r_vals, np.arange(2.0), 1.0, True, False, (2, 0), rows=1).tolist() == \
+        two[1:4].tolist()
+    assert warped._solve_grid(r_vals, np.arange(1.0), 1.0, True, False, (1, 0), rows=2)[:, 0].tolist() == \
+        [0.25, 0.0, 0.25, 0.5]
 
 
 @pytest.mark.parametrize("square", [False, True])
@@ -481,8 +479,10 @@ def test_ball_volume_floods_the_rows_within_its_radius(monkeypatch, radius, squa
     grids = _record_grids(monkeypatch)
     ball_volume(radius, square=square)
     assert [g.limit for g in grids] == [radius, radius]
-    # the limit band around the centre row, mirrored
+    # the limit band around the centre row, mirrored (both row steps here
+    # are powers of two, so the array's step is the window's dr)
     bands = [math.ceil(radius / float(g.r_vals[1] - g.r_vals[0])) + 1 for g in grids]
+    assert [g.rows for g in grids] == bands
     assert all(band < len(g.r_vals) // 2 for band, g in zip(bands, grids))
     assert sizes == [(band + 1) * len(g.s_vals) for band, g in zip(bands, grids)]
 
@@ -502,6 +502,7 @@ def test_off_centre_point_distance_floods_the_rows_within_its_path_bound(monkeyp
         run = min(abs(ej - sj), len(s) - abs(ej - sj)) if periodic else abs(ej - sj)
         assert g.limit == _path_bound(r, g.ds, False, si, ei, run)
         band = math.ceil(g.limit / float(r[1] - r[0])) + 1
+        assert g.rows == band
         rows = min(si + band, len(r) - 1) - max(si - band, 0) + 1
         assert rows < len(r)
         assert size == rows * len(s)
@@ -509,19 +510,20 @@ def test_off_centre_point_distance_floods_the_rows_within_its_path_bound(monkeyp
 
 def _whole_floods(monkeypatch):
     """Patch ``_solve_grid`` to flood every grid whole, with no row cut and
-    no limit. A reach cut is sliced back out of the whole flood, so its
-    caller indexes it as before. Each limited flood is also solved and
-    checked on the spot: a node within the limit keeps the whole flood's
-    bits, and every other node reads inf."""
+    no limit. The cut's rows are sliced back out of the whole flood, so its
+    caller indexes them as before. Each limited flood is also solved with
+    its cut and checked on the spot: a node within the limit keeps the
+    whole flood's bits, and every other node reads inf."""
     real = warped._solve_grid
 
-    def whole(r_vals, s_vals, ds, periodic, square, source, reach=None, limit=math.inf):
+    def whole(r_vals, s_vals, ds, periodic, square, source, rows, limit=math.inf):
         dist = real(r_vals, s_vals, ds, periodic, square, source)
+        lo = max(0, source[0] - rows)
+        dist = dist[lo : source[0] + rows + 1]
         if limit < math.inf:
-            cut = real(r_vals, s_vals, ds, periodic, square, source, limit=limit)
+            cut = real(r_vals, s_vals, ds, periodic, square, source, rows=rows, limit=limit)
             assert cut.tobytes() == np.where(dist <= limit, dist, np.inf).tobytes()
-        lo = len(r_vals) // 2 - reach if reach is not None else 0
-        return dist[lo : len(r_vals) - lo] if lo > 0 else dist
+        return dist
 
     monkeypatch.setattr(warped, "_solve_grid", whole)
 
