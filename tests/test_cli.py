@@ -377,6 +377,33 @@ def test_a_seed_is_a_non_negative_integer_or_a_usage_error(capsys, argv):
     assert "--seed: expected a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    # 2,000 samples in a 6,000 x 6,000 box around a set of area at most 1
+    ("thin-set", "--space", "z2", "--h", "1", "--radii", "3000", "--samples", "2000"),
+    # 1,000 samples in an 80 x 80 box around a ball of area 1
+    ("verify-dual", "--space", "torus2", "--radii", "40", "--samples", "1000"),
+])
+def test_a_volume_that_no_sample_hits_is_refused_not_printed_as_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "InsufficientSamples"
+    assert "none of the" in err and "which has positive volume" in err
+
+
+def test_a_thickness_past_the_float_range_cuts_nothing(capsys):
+    code, out, _ = run(capsys, "thin-set", "--space", "torus2", "--radii", "1", "--h", "1e400", "--samples", "1000")
+    assert code == 0
+    assert json.loads(out)["thickness"] == str(10 ** 400)
+
+
+def test_a_center_past_the_float_range_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify-dual", "--space", "torus2", "--radii", "1", "--base", "1e400,0",
+                         "--samples", "1000")
+    assert code == 2
+    assert json.loads(out)["error"] == "ValueError"
+    assert "beyond the float range" in err
+
+
 def test_csv_requested_where_none_exists(capsys):
     # errors under --format csv go to stderr only; stdout stays empty
     code, out, err = run(capsys, "milnor-check", "--space", "z2", "--radii", "1,2", "--format", "csv")

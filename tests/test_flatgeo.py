@@ -1,8 +1,13 @@
 """Dirichlet cells, ray extensions, Monte Carlo volumes, classification."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -244,34 +249,31 @@ def test_verify_dual_word_variant():
     assert rep.ok
 
 
-def _record_trees(monkeypatch):
-    """Patch the module-global ``cKDTree`` (the name the tracer hooks) to
-    log the point count of every tree built."""
-    sizes = []
-    real = flatgeo.cKDTree
+# one fresh process runs every volume; none may build a kd-tree or load
+# scipy.spatial, since the indicator tests a finite rival list
+_VOLUME_SCRIPT = """
+import json, sys
+from orbitlab import flatgeo
+from orbitlab.groups import builtin_deck_group
+trees = []
+flatgeo.cKDTree = lambda points: trees.append(len(points))
+deck = builtin_deck_group("cylinder2")
+base = flatgeo.BASE_POINTS["cylinder2"]
+flatgeo.ball_volume(deck, base, 2, samples=5_000, seed=3)
+flatgeo.thin_set_volume(deck, base, 4, 1, 0, samples=5_000, seed=3)
+flatgeo.verify_dual(deck, base, [1, 2, 3], samples=5_000, seed=3)
+print(json.dumps([trees, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
 
-    def spy(points):
-        sizes.append(len(points))
-        return real(points)
 
-    monkeypatch.setattr(flatgeo, "cKDTree", spy)
-    return sizes
-
-
-def test_every_volume_builds_its_trees_through_the_module_global(monkeypatch):
-    deck = builtin_deck_group("cylinder2")
-    base = BASE_POINTS["cylinder2"]
-    calls = [
-        (ball_volume, (deck, base, 2), 1),
-        (thin_set_volume, (deck, base, 4, 1, 0), 1),
-        (verify_dual, (deck, base, [1, 2, 3]), 3),
-    ]
-    plain = [fn(*args, samples=5_000, seed=3) for fn, args, _ in calls]
-    sizes = _record_trees(monkeypatch)
-    for (fn, args, trees), want in zip(calls, plain):
-        sizes.clear()
-        assert fn(*args, samples=5_000, seed=3) == want
-        assert len(sizes) == trees and min(sizes) > 1
+def test_no_volume_builds_a_kdtree_or_loads_scipy_spatial():
+    src = str(Path(flatgeo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _VOLUME_SCRIPT], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    trees, scipy_modules = json.loads(proc.stdout)
+    assert trees == [] and "scipy.spatial" not in scipy_modules
 
 
 # --------------------------------------------------------------------------
